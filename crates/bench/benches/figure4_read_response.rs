@@ -78,7 +78,8 @@ fn main() -> Result<(), CraidError> {
     println!("partition grows; with a large partition CRAID-5 is competitive with the ideal");
     println!("RAID-5 and CRAID-5+ tracks it closely, regardless of the archive layout.");
     println!("(Note: at this scaled-down concurrency the plain RAID-5+ baseline is not slower");
-    println!("than RAID-5 per request — see EXPERIMENTS.md for the discussion; its poorer");
-    println!("load balance and queue behaviour are reproduced in Figure 7 / Table 5.)");
+    println!("than RAID-5 per request: queues stay too shallow for its aggregated archive");
+    println!("to cost much per I/O. Its poorer load balance and queue behaviour are");
+    println!("reproduced in Figure 7 / Table 5.)");
     Ok(())
 }

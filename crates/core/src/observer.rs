@@ -14,8 +14,7 @@
 
 use craid_diskmodel::IoKind;
 use craid_metrics::{
-    concurrency::ConcurrencySummary, ConcurrencyTracker, LoadBalanceTracker, Quantiles,
-    SequentialityTracker, ShardEvent, ShardRouter, StreamingSummary,
+    ConcurrencyTracker, LoadBalanceTracker, Quantiles, SequentialityTracker, StreamingSummary,
 };
 use craid_trace::{Trace, TraceRecord};
 
@@ -242,115 +241,27 @@ pub struct MetricsCollector {
     write_summary: StreamingSummary,
     read_quantiles: Quantiles,
     write_quantiles: Quantiles,
-    device_metrics: DeviceMetrics,
+    load: LoadBalanceTracker,
+    seq: SequentialityTracker,
+    conc: ConcurrencyTracker,
     requests: u64,
     /// Once closed (the last trace record was served), trailing events no
     /// longer contribute device traffic to the measurement window.
     closed: bool,
 }
 
-/// Where device-level events (the per-second load / sequentiality /
-/// concurrency pipeline) are processed: inline on the replay thread, or
-/// routed to per-parity-group shard workers whose observations merge back
-/// bit-for-bit.
-enum DeviceMetrics {
-    Inline {
-        load: LoadBalanceTracker,
-        seq: SequentialityTracker,
-        conc: ConcurrencyTracker,
-    },
-    Sharded(ShardRouter),
-}
-
-impl DeviceMetrics {
-    fn record(&mut self, ev: &DeviceIoEvent) {
-        match self {
-            DeviceMetrics::Inline { load, seq, conc } => {
-                load.record(ev.submitted, ev.device, ev.bytes());
-                seq.record(ev.submitted, ev.device, ev.start_block, ev.blocks);
-                conc.record(ev.submitted, ev.device, ev.queue_depth);
-            }
-            DeviceMetrics::Sharded(router) => router.record(ShardEvent {
-                at: ev.submitted,
-                device: ev.device,
-                start_block: ev.start_block,
-                blocks: ev.blocks,
-                queue_depth: ev.queue_depth,
-                bytes: ev.bytes(),
-            }),
-        }
-    }
-
-    /// Folds the backend into the sequential trackers' outputs:
-    /// `(sequential_fraction, seq samples, overall cv, cv samples, ioq,
-    /// cdev)`.
-    fn finish(
-        self,
-    ) -> (
-        f64,
-        Quantiles,
-        f64,
-        Quantiles,
-        ConcurrencySummary,
-        ConcurrencySummary,
-    ) {
-        match self {
-            DeviceMetrics::Inline { load, seq, conc } => {
-                let fraction = seq.overall_sequential_fraction();
-                let seq_samples = seq.finish();
-                let overall_cv = load.overall_cv();
-                let cv_samples = load.finish();
-                let (ioq, cdev) = conc.finish();
-                (fraction, seq_samples, overall_cv, cv_samples, ioq, cdev)
-            }
-            DeviceMetrics::Sharded(router) => {
-                let mut merged = router.finish();
-                let fraction = merged.overall_sequential_fraction();
-                let overall_cv = merged.overall_cv();
-                let ioq = ConcurrencySummary::from_quantiles(&mut merged.queue_depths);
-                let cdev = ConcurrencySummary::from_quantiles(&mut merged.concurrent_devices);
-                (
-                    fraction,
-                    merged.seq_samples,
-                    overall_cv,
-                    merged.cv_samples,
-                    ioq,
-                    cdev,
-                )
-            }
-        }
-    }
-}
-
 impl MetricsCollector {
     /// Creates a collector for an array that will grow to `device_slots`
     /// devices over the run (initial devices plus every scheduled addition).
     pub fn new(device_slots: usize) -> Self {
-        Self::with_backend(DeviceMetrics::Inline {
-            load: LoadBalanceTracker::new(device_slots),
-            seq: SequentialityTracker::new(),
-            conc: ConcurrencyTracker::new(),
-        })
-    }
-
-    /// Creates a collector whose device-event pipeline is sharded across
-    /// `threads` worker threads, one shard per `parity_group`-sized device
-    /// group. Reports are bit-identical to the inline collector's.
-    pub fn new_sharded(device_slots: usize, parity_group: usize, threads: usize) -> Self {
-        Self::with_backend(DeviceMetrics::Sharded(ShardRouter::new(
-            device_slots,
-            parity_group,
-            threads,
-        )))
-    }
-
-    fn with_backend(device_metrics: DeviceMetrics) -> Self {
         MetricsCollector {
             read_summary: StreamingSummary::new(),
             write_summary: StreamingSummary::new(),
             read_quantiles: Quantiles::new(),
             write_quantiles: Quantiles::new(),
-            device_metrics,
+            load: LoadBalanceTracker::new(device_slots),
+            seq: SequentialityTracker::new(),
+            conc: ConcurrencyTracker::new(),
             requests: 0,
             closed: false,
         }
@@ -363,12 +274,13 @@ impl MetricsCollector {
         self.closed = true;
     }
 
-    fn record_device_events(&mut self, reports: &[RequestReport]) {
-        for report in reports {
-            for ev in &report.events {
-                self.device_metrics.record(ev);
-            }
-        }
+    /// Feeds one device-level submission to the per-second load,
+    /// sequentiality and concurrency trackers.
+    fn record_device_event(&mut self, ev: &DeviceIoEvent) {
+        self.load.record(ev.submitted, ev.device, ev.bytes());
+        self.seq
+            .record(ev.submitted, ev.device, ev.start_block, ev.blocks);
+        self.conc.record(ev.submitted, ev.device, ev.queue_depth);
     }
 
     /// Consumes the trackers and builds the report. `craid` carries the
@@ -380,8 +292,11 @@ impl MetricsCollector {
         craid: Option<CraidStats>,
         device_bytes: Vec<u64>,
     ) -> SimulationReport {
-        let (sequential_fraction, mut seq_samples, overall_cv, mut cv_samples, ioq, cdev) =
-            self.device_metrics.finish();
+        let sequential_fraction = self.seq.overall_sequential_fraction();
+        let mut seq_samples = self.seq.finish();
+        let overall_cv = self.load.overall_cv();
+        let mut cv_samples = self.load.finish();
+        let (ioq, cdev) = self.conc.finish();
 
         SimulationReport {
             strategy: strategy.to_string(),
@@ -415,7 +330,11 @@ impl MetricsCollector {
 impl Observer for MetricsCollector {
     fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
         self.requests += 1;
-        self.record_device_events(&outcome.reports);
+        for report in &outcome.reports {
+            for ev in &report.events {
+                self.record_device_event(ev);
+            }
+        }
         match record.kind {
             IoKind::Read => {
                 self.read_summary.record(outcome.worst_ms);
@@ -434,7 +353,7 @@ impl Observer for MetricsCollector {
         }
         if let Some(report) = expansion {
             for ev in &report.events {
-                self.device_metrics.record(ev);
+                self.record_device_event(ev);
             }
         }
     }
@@ -543,5 +462,118 @@ mod tests {
         assert_eq!(report.write.mean_ms, 2.5);
         assert_eq!(report.read.count, 0);
         assert_eq!(report.strategy, "RAID-5");
+    }
+
+    /// One device submission of `blocks` blocks at `start_block`.
+    fn device_io(at: SimTime, device: usize, start_block: u64, blocks: u64) -> DeviceIoEvent {
+        DeviceIoEvent {
+            device,
+            start_block,
+            blocks,
+            kind: IoKind::Write,
+            purpose: craid_raid::IoPurpose::Data,
+            submitted: at,
+            finished: at + craid_simkit::SimDuration::from_millis(1.0),
+            queue_depth: device as u64,
+            internal_cache_hit: false,
+        }
+    }
+
+    fn outcome_with(events: Vec<DeviceIoEvent>) -> RequestOutcome {
+        RequestOutcome {
+            worst_ms: 1.0,
+            reports: vec![RequestReport {
+                events,
+                ..RequestReport::default()
+            }],
+        }
+    }
+
+    #[test]
+    fn metrics_collector_splits_response_times_by_kind() {
+        let mut m = MetricsCollector::new(2);
+        for (i, (kind, ms)) in [
+            (IoKind::Read, 1.0),
+            (IoKind::Read, 3.0),
+            (IoKind::Write, 10.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let record = TraceRecord::new(SimTime::from_millis(i as f64), kind, 0, 8);
+            let outcome = RequestOutcome {
+                worst_ms: ms,
+                reports: Vec::new(),
+            };
+            m.on_request(&record, &outcome);
+        }
+        let report = m.finish("RAID-5", "wdev", None, vec![0; 2]);
+        assert_eq!(report.requests, 3);
+        assert_eq!((report.read.count, report.write.count), (2, 1));
+        assert_eq!(report.read.mean_ms, 2.0);
+        assert_eq!(report.read.max_ms, 3.0);
+        assert_eq!(report.write.p50_ms, 10.0);
+    }
+
+    #[test]
+    fn metrics_collector_folds_device_events_into_every_tracker() {
+        let mut m = MetricsCollector::new(3);
+        let record = TraceRecord::new(SimTime::ZERO, IoKind::Write, 0, 8);
+        // Device 0 reads 0..8 then 8..16 (sequential); devices 1 and 2 see
+        // one access each, all inside second 0.
+        let at = SimTime::from_millis(1.0);
+        m.on_request(
+            &record,
+            &outcome_with(vec![
+                device_io(at, 0, 0, 8),
+                device_io(at, 1, 100, 8),
+                device_io(at, 2, 200, 8),
+            ]),
+        );
+        m.on_request(&record, &outcome_with(vec![device_io(at, 0, 8, 8)]));
+        let report = m.finish("CRAID-5", "wdev", None, vec![0; 3]);
+        assert_eq!(report.requests, 2);
+        assert_eq!(report.sequential_fraction, 0.25, "1 of 4 accesses");
+        assert_eq!(report.cdev.max, 3.0, "three devices active in second 0");
+        assert_eq!(report.ioq.max, 2.0);
+        assert_eq!(report.ioq.mean, 0.75);
+        // Device 0 moved twice the bytes of the others: the load is uneven.
+        assert!(report.load_balance.overall_cv > 0.0);
+        assert_eq!(report.load_balance.cv_cdf.len(), 20);
+    }
+
+    #[test]
+    fn metrics_collector_counts_expansion_traffic_until_closed() {
+        let expansion = ExpansionReport {
+            events: vec![device_io(SimTime::from_secs(1.0), 1, 0, 64)],
+            ..ExpansionReport::default()
+        };
+        let event = ScheduledEvent::expand(SimTime::from_secs(1.0), 1);
+
+        let mut open = MetricsCollector::new(2);
+        open.on_event(&event, Some(&expansion));
+        let open = open.finish("CRAID-5", "wdev", None, vec![0; 2]);
+        assert_eq!(open.cdev.max, 1.0, "migration I/O counts while open");
+        assert_eq!(open.requests, 0, "events are not client requests");
+
+        let mut closed = MetricsCollector::new(2);
+        closed.close();
+        closed.on_event(&event, Some(&expansion));
+        let closed = closed.finish("CRAID-5", "wdev", None, vec![0; 2]);
+        assert_eq!(closed.cdev.max, 0.0, "trailing events are ignored");
+        assert_eq!(closed.ioq.mean, 0.0);
+    }
+
+    #[test]
+    fn empty_collector_reports_zeros() {
+        let report = MetricsCollector::new(4).finish("RAID-5", "wdev", None, vec![0; 4]);
+        assert_eq!(report.requests, 0);
+        assert_eq!(report.read.count + report.write.count, 0);
+        assert_eq!(report.sequential_fraction, 0.0);
+        assert!(report.sequentiality_cdf.is_empty());
+        assert_eq!(report.load_balance.mean_cv, 0.0);
+        assert_eq!(report.cdev.max, 0.0);
+        assert!(report.craid.is_none());
+        assert!(report.obs.is_none());
     }
 }

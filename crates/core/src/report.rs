@@ -1,8 +1,9 @@
 //! Result structures produced by the simulation driver.
 //!
 //! Every number the paper's evaluation section reports has a field here, so
-//! the experiment harness (`craid-bench`) can print Table/Figure rows and
-//! serialize full runs to JSON for EXPERIMENTS.md.
+//! the experiment harness (`craid-bench`) can print Table/Figure rows, and a
+//! full run serializes to JSON ([`SimulationReport::to_json`], the bytes
+//! `scenario_file --json` prints).
 
 use serde::{Deserialize, Serialize};
 

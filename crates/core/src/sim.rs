@@ -20,7 +20,7 @@ use craid_diskmodel::{BlockRange, IoKind};
 use craid_simkit::SimTime;
 use craid_trace::{SyntheticWorkload, Trace, TraceRecord};
 
-use crate::array::{build_array, ExpansionReport, RequestReport};
+use crate::array::{build_array, ExpansionReport, RequestReport, StorageArray};
 use crate::config::ArrayConfig;
 use crate::error::CraidError;
 use crate::observer::{MetricsCollector, NullObserver, Observer, RequestOutcome};
@@ -186,10 +186,14 @@ impl Simulation {
     ///
     /// One interleaving loop drives every background task the array has in
     /// flight (rebuilds, paced expansion migrations, paced archive
-    /// restripes): the engine is pumped once per client request and splits
-    /// each pump's budget across concurrent tasks by the configured fair
-    /// shares, so maintenance I/O contends with traffic exactly as the
-    /// paper's online claim requires. Work still in flight when the trace
+    /// restripes). The pump is event-clocked: ahead of each client request
+    /// the engine is polled only when a pacing clock says work can be due
+    /// ([`StorageArray::background_work_due`]), so its cost follows
+    /// completions rather than requests (under the model checker every
+    /// request polls, keeping the explored decision tree unchanged). Each
+    /// pump splits its budget across concurrent tasks by the configured
+    /// fair shares, so maintenance I/O contends with traffic exactly as
+    /// the paper's online claim requires. Work still in flight when the trace
     /// (and any post-trace events) end is drained afterwards, outside the
     /// measurement window, and reported as
     /// [`SimulationReport::background_drain_secs`] — a short trace cannot
@@ -212,30 +216,6 @@ impl Simulation {
         trace: &Trace,
         events: &[ScheduledEvent],
         observer: &mut dyn Observer,
-    ) -> Result<(SimulationReport, Vec<ExpansionReport>, Vec<AppliedEvent>), CraidError> {
-        self.try_run_events_sharded(trace, events, observer, 1)
-    }
-
-    /// Like [`Simulation::try_run_events`], but with the device-event
-    /// metrics pipeline sharded across `threads` worker threads (one shard
-    /// per parity group of devices, merged deterministically at the end).
-    ///
-    /// The report is **bit-identical** to the single-threaded one for any
-    /// `threads`: devices are partitioned across shards, so every per-device
-    /// accumulation happens on one worker in replay order, and the merge
-    /// reassembles exactly the per-second aggregates the inline trackers
-    /// compute. `threads <= 1` runs the inline pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CraidError`] if the configuration or an event is
-    /// invalid.
-    pub fn try_run_events_sharded(
-        &self,
-        trace: &Trace,
-        events: &[ScheduledEvent],
-        observer: &mut dyn Observer,
-        threads: usize,
     ) -> Result<(SimulationReport, Vec<ExpansionReport>, Vec<AppliedEvent>), CraidError> {
         let composed = compose_phase_swaps(trace, events);
         let trace = composed.as_ref().unwrap_or(trace);
@@ -267,11 +247,7 @@ impl Simulation {
             })
             .sum();
         let device_slots = array.device_count() + total_added;
-        let mut metrics = if threads > 1 {
-            MetricsCollector::new_sharded(device_slots, config.parity_group.max(1), threads)
-        } else {
-            MetricsCollector::new(device_slots)
-        };
+        let mut metrics = MetricsCollector::new(device_slots);
         observer.on_start(&config, trace);
 
         let mut expansion_reports = Vec::new();
@@ -336,7 +312,6 @@ impl Simulation {
                 && crate::choice::choose(crate::choice::DecisionPoint::ThrottlePumpOrder, 2) == 1;
             background.clear();
             if pump_first && (!event_clocked || array.background_work_due(record.time)) {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Pump);
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
@@ -353,29 +328,14 @@ impl Simulation {
             // client does not wait on them) and count into the measurement
             // window like any other traffic.
             if !pump_first && (!event_clocked || array.background_work_due(record.time)) {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Pump);
                 array.pump_background_into(record.time, &mut background);
             }
             if let Some(controller) = qos.as_mut() {
                 controller.note_maintenance(&background);
             }
-            for activation in array.take_activations() {
-                craid_obs::emit(|_| {
-                    craid_obs::TraceEvent::instant(
-                        craid_obs::SpanCategory::Activation,
-                        "deferred-activation",
-                        activation.at,
-                    )
-                    .arg("added_disks", activation.added_disks as u64)
-                });
-                craid_obs::counter_add("activations", 1);
-                observer.on_deferred_activation(activation.at, activation.added_disks);
-            }
+            report_activations(array.as_mut(), observer);
 
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Mapping);
-                mapper.map_into(BlockRange::new(record.offset, record.length), &mut ranges);
-            }
+            mapper.map_into(BlockRange::new(record.offset, record.length), &mut ranges);
             outcome.worst_ms = 0.0;
             outcome.reports.clear();
             let has_background_report = !background.is_empty();
@@ -385,13 +345,10 @@ impl Simulation {
                     ..RequestReport::default()
                 });
             }
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::Redirect);
-                for &range in &ranges {
-                    let report = array.submit(record.time, record.kind, range)?;
-                    outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
-                    outcome.reports.push(report);
-                }
+            for &range in &ranges {
+                let report = array.submit(record.time, record.kind, range)?;
+                outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
+                outcome.reports.push(report);
             }
             if craid_obs::active() {
                 // The request-lifecycle span: built once, shown to the
@@ -413,23 +370,20 @@ impl Simulation {
                 craid_obs::counter_add("requests", 1);
                 craid_obs::histogram_record("request.worst_ms", outcome.worst_ms);
             }
-            {
-                let _stage = craid_obs::profile::timer(craid_obs::profile::Stage::MetricsFold);
-                if let Some(controller) = qos.as_mut() {
-                    // The first report carries the pump's maintenance batch
-                    // (when one was issued); the controller must only see the
-                    // *client* I/O, or it would throttle against the queue
-                    // depths of the very maintenance it paces.
-                    let client_from = usize::from(has_background_report);
-                    controller.observe(
-                        record.time,
-                        outcome.worst_ms,
-                        &outcome.reports[client_from..],
-                    );
-                }
-                metrics.on_request(record, &outcome);
-                observer.on_request(record, &outcome);
+            if let Some(controller) = qos.as_mut() {
+                // The first report carries the pump's maintenance batch
+                // (when one was issued); the controller must only see the
+                // *client* I/O, or it would throttle against the queue
+                // depths of the very maintenance it paces.
+                let client_from = usize::from(has_background_report);
+                controller.observe(
+                    record.time,
+                    outcome.worst_ms,
+                    &outcome.reports[client_from..],
+                );
             }
+            metrics.on_request(record, &outcome);
+            observer.on_request(record, &outcome);
             if has_background_report {
                 background = std::mem::take(&mut outcome.reports[0].events);
             }
@@ -488,18 +442,7 @@ impl Simulation {
                 drain_at = drain_at.max(eta);
             }
             let events = array.pump_background(drain_at);
-            for activation in array.take_activations() {
-                craid_obs::emit(|_| {
-                    craid_obs::TraceEvent::instant(
-                        craid_obs::SpanCategory::Activation,
-                        "deferred-activation",
-                        activation.at,
-                    )
-                    .arg("added_disks", activation.added_disks as u64)
-                });
-                craid_obs::counter_add("activations", 1);
-                observer.on_deferred_activation(activation.at, activation.added_disks);
-            }
+            report_activations(array.as_mut(), observer);
             if events.is_empty() && !array.background_idle() {
                 // The eta is computed in f64 and can round a hair short of
                 // the instant the final block comes due (`rate × elapsed`
@@ -536,6 +479,25 @@ impl Simulation {
         report.background_drain_secs = drain_secs;
         observer.on_finish(&report);
         Ok((report, expansion_reports, applied_events))
+    }
+}
+
+/// Reports every deferred expansion the array activated since the last
+/// call: a trace instant, the `activations` counter and the observer hook.
+/// Both activation sites — the in-trace pump and the end-of-trace drain —
+/// go through here.
+fn report_activations(array: &mut dyn StorageArray, observer: &mut dyn Observer) {
+    for activation in array.take_activations() {
+        craid_obs::emit(|_| {
+            craid_obs::TraceEvent::instant(
+                craid_obs::SpanCategory::Activation,
+                "deferred-activation",
+                activation.at,
+            )
+            .arg("added_disks", activation.added_disks as u64)
+        });
+        craid_obs::counter_add("activations", 1);
+        observer.on_deferred_activation(activation.at, activation.added_disks);
     }
 }
 

@@ -26,19 +26,6 @@ pub struct ConcurrencySummary {
     pub max: f64,
 }
 
-impl ConcurrencySummary {
-    /// Builds the summary from a raw sample set (zeros when empty) — the
-    /// same folding [`ConcurrencyTracker::finish`] applies, exposed so the
-    /// sharded merge can reproduce it exactly.
-    pub fn from_quantiles(q: &mut Quantiles) -> Self {
-        ConcurrencySummary {
-            mean: q.mean().unwrap_or(0.0),
-            p99: q.quantile(0.99).unwrap_or(0.0),
-            max: q.max().unwrap_or(0.0),
-        }
-    }
-}
-
 /// Tracks queue-depth samples and per-second concurrently-active device
 /// counts. Feed events in non-decreasing time order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -106,8 +93,13 @@ impl ConcurrencyTracker {
     }
 }
 
+/// Folds a sample set into its summary (zeros when empty).
 fn summarize(q: &mut Quantiles) -> ConcurrencySummary {
-    ConcurrencySummary::from_quantiles(q)
+    ConcurrencySummary {
+        mean: q.mean().unwrap_or(0.0),
+        p99: q.quantile(0.99).unwrap_or(0.0),
+        max: q.max().unwrap_or(0.0),
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +161,74 @@ mod tests {
             f_cdev.mean < s_cdev.mean,
             "spread traffic keeps more devices active"
         );
+    }
+
+    #[test]
+    fn idle_seconds_do_not_count_as_zero_active_devices() {
+        let mut t = ConcurrencyTracker::new();
+        t.record(SimTime::from_secs(0.5), 0, 1);
+        t.record(SimTime::from_secs(0.6), 1, 1);
+        // Seconds 1..=9 see no traffic at all.
+        t.record(SimTime::from_secs(10.5), 2, 1);
+        t.record(SimTime::from_secs(10.7), 3, 1);
+        let (_, cdev) = t.finish();
+        assert_eq!(cdev.mean, 2.0, "only the two busy seconds are sampled");
+        assert_eq!(cdev.max, 2.0);
+    }
+
+    #[test]
+    fn one_sample_summarizes_to_itself() {
+        let mut t = ConcurrencyTracker::new();
+        t.record(SimTime::from_millis(3.0), 7, 4);
+        let (ioq, cdev) = t.finish();
+        assert_eq!(
+            ioq,
+            ConcurrencySummary {
+                mean: 4.0,
+                p99: 4.0,
+                max: 4.0
+            }
+        );
+        assert_eq!(
+            cdev,
+            ConcurrencySummary {
+                mean: 1.0,
+                p99: 1.0,
+                max: 1.0
+            }
+        );
+    }
+
+    #[test]
+    fn queue_depths_count_every_submission_and_devices_every_second() {
+        let mut t = ConcurrencyTracker::new();
+        // Second s has s + 1 distinct devices, each submitting twice.
+        for s in 0..3u64 {
+            for d in 0..=s as usize {
+                for k in 0..2u64 {
+                    let at = SimTime::from_secs(s as f64 + 0.1 * (d as f64 + 0.5 * k as f64));
+                    t.record(at, d, k);
+                }
+            }
+        }
+        let (ioq, cdev) = t.finish();
+        assert_eq!(ioq.mean, 0.5, "12 submissions, half at depth 1");
+        assert_eq!(ioq.max, 1.0);
+        assert_eq!(cdev.mean, 2.0);
+        assert_eq!(cdev.p99, 3.0);
+        assert_eq!(cdev.max, 3.0);
+    }
+
+    #[test]
+    fn same_second_events_may_arrive_out_of_order() {
+        // Only whole seconds must be monotone; the tracker buckets by
+        // second, so a later-issued submission may carry an earlier stamp.
+        let mut t = ConcurrencyTracker::new();
+        t.record(SimTime::from_secs(1.9), 0, 2);
+        t.record(SimTime::from_secs(1.1), 1, 3);
+        let (ioq, cdev) = t.finish();
+        assert_eq!(ioq.max, 3.0);
+        assert_eq!(cdev.max, 2.0);
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl Quantiles {
     /// Arithmetic mean of the samples, or `None` if empty.
     ///
     /// The sum runs over the *sorted* samples so the result depends only on
-    /// the sample multiset, never on insertion order — a prerequisite for
-    /// the sharded replay merge, which must reproduce single-threaded
-    /// reports bit-for-bit whatever order shards contribute samples in.
+    /// the sample multiset, never on insertion order: merged collectors
+    /// give the same bits whatever order their samples arrived in, and
+    /// every report's means are pinned to this summation order.
     pub fn mean(&mut self) -> Option<f64> {
         if self.samples.is_empty() {
             None
@@ -147,12 +147,6 @@ impl Quantiles {
                 (self.samples[rank], frac)
             })
             .collect()
-    }
-
-    /// The samples in ascending order.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
     }
 
     /// Merges another collector's samples into this one.
@@ -239,6 +233,105 @@ mod tests {
         let mut q = Quantiles::new();
         q.record(1.0);
         q.quantile(1.5);
+    }
+
+    #[test]
+    fn mean_is_independent_of_insertion_order() {
+        // Summed in arrival order these total 1.0 or 2.0 depending on where
+        // the small terms land; the sorted sum pins one answer.
+        let orders = [
+            [1e16, 1.0, -1e16, 1.0],
+            [1.0, 1.0, 1e16, -1e16],
+            [-1e16, 1.0, 1e16, 1.0],
+        ];
+        let means: Vec<u64> = orders
+            .iter()
+            .map(|order| {
+                let mut q = Quantiles::new();
+                for &v in order {
+                    q.record(v);
+                }
+                q.mean().unwrap().to_bits()
+            })
+            .collect();
+        assert!(means.windows(2).all(|w| w[0] == w[1]), "{means:?}");
+    }
+
+    #[test]
+    fn merged_mean_matches_a_single_collector_bitwise() {
+        let values: Vec<f64> = (0..200).map(|i| ((i * 7919) % 211) as f64 * 0.1).collect();
+        let mut whole = Quantiles::new();
+        let mut left = Quantiles::new();
+        let mut right = Quantiles::new();
+        for (i, &v) in values.iter().enumerate() {
+            whole.record(v);
+            if i % 3 == 0 {
+                left.record(v);
+            } else {
+                right.record(v);
+            }
+        }
+        right.merge(&left);
+        assert_eq!(
+            right.mean().unwrap().to_bits(),
+            whole.mean().unwrap().to_bits()
+        );
+        assert_eq!(right.quantile(0.95), whole.quantile(0.95));
+    }
+
+    #[test]
+    fn min_and_max_of_an_empty_collector_are_none() {
+        let mut q = Quantiles::with_capacity(16);
+        assert!(q.is_empty());
+        assert_eq!(q.count(), 0);
+        assert_eq!(q.min(), None);
+        assert_eq!(q.max(), None);
+        assert_eq!(q.median(), None);
+    }
+
+    #[test]
+    fn queries_see_samples_recorded_after_an_earlier_query() {
+        let mut q = Quantiles::new();
+        for v in [5.0, 6.0, 7.0] {
+            q.record(v);
+        }
+        assert_eq!(q.min(), Some(5.0));
+        q.record(1.0);
+        q.record(9.0);
+        assert_eq!(q.min(), Some(1.0));
+        assert_eq!(q.max(), Some(9.0));
+        assert_eq!(q.median(), Some(6.0));
+        assert_eq!(q.cdf_at(5.0), 0.4);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must be finite")]
+    fn non_finite_samples_are_rejected() {
+        Quantiles::new().record(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one CDF point")]
+    fn zero_cdf_points_are_rejected() {
+        let mut q = Quantiles::new();
+        q.record(1.0);
+        q.cdf_points(0);
+    }
+
+    proptest! {
+        /// The mean does not depend on the order samples arrive in.
+        #[test]
+        fn prop_mean_is_order_independent(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+            let mut forward = Quantiles::new();
+            let mut backward = Quantiles::new();
+            for &v in &values {
+                forward.record(v);
+            }
+            for &v in values.iter().rev() {
+                backward.record(v);
+            }
+            prop_assert_eq!(forward.mean().unwrap().to_bits(), backward.mean().unwrap().to_bits());
+        }
     }
 
     proptest! {

@@ -389,6 +389,93 @@ mod tests {
     }
 
     #[test]
+    fn every_unit_constructor_agrees() {
+        let t = SimTime::from_nanos(2_500_000_000);
+        assert_eq!(SimTime::from_micros(2_500_000.0), t);
+        assert_eq!(SimTime::from_millis(2_500.0), t);
+        assert_eq!(SimTime::from_secs(2.5), t);
+        let d = SimDuration::from_nanos(NANOS_PER_MILLI);
+        assert_eq!(SimDuration::from_micros(1_000.0), d);
+        assert_eq!(SimDuration::from_millis(1.0), d);
+        assert_eq!(SimDuration::from_secs(0.001), d);
+        assert_eq!(d.as_micros(), 1_000.0);
+        assert_eq!(d.as_secs(), 0.001);
+    }
+
+    #[test]
+    fn fractional_nanoseconds_round_to_nearest() {
+        assert_eq!(SimTime::from_micros(0.0004).as_nanos(), 0);
+        assert_eq!(SimTime::from_micros(0.0006).as_nanos(), 1);
+        assert_eq!(SimDuration::from_micros(1.4996).as_nanos(), 1_500);
+    }
+
+    #[test]
+    fn min_and_max_pick_the_right_instant() {
+        let a = SimTime::from_millis(3.0);
+        let b = SimTime::from_millis(7.0);
+        assert_eq!(a.max(b), b);
+        assert_eq!(b.max(a), b);
+        assert_eq!(a.min(b), a);
+        assert_eq!(b.min(a), a);
+        assert_eq!(a.max(a), a);
+    }
+
+    #[test]
+    fn time_arithmetic_saturates_at_the_origin() {
+        let t = SimTime::from_millis(2.0);
+        assert_eq!(t - SimDuration::from_millis(5.0), SimTime::ZERO);
+        assert_eq!(t - SimTime::from_millis(5.0), SimDuration::ZERO);
+        assert_eq!(SimTime::from_millis(5.0) - t, SimDuration::from_millis(3.0));
+        assert_eq!(
+            SimTime::from_millis(5.0).checked_since(t),
+            Some(SimDuration::from_millis(3.0))
+        );
+    }
+
+    #[test]
+    fn compound_assignment_matches_binary_operators() {
+        let mut t = SimTime::from_millis(1.0);
+        t += SimDuration::from_millis(2.0);
+        assert_eq!(t, SimTime::from_millis(1.0) + SimDuration::from_millis(2.0));
+        let mut d = SimDuration::from_millis(4.0);
+        d += SimDuration::from_millis(1.0);
+        assert_eq!(d.as_millis(), 5.0);
+        d -= SimDuration::from_millis(2.0);
+        assert_eq!(d.as_millis(), 3.0);
+        d -= SimDuration::from_millis(10.0);
+        assert!(d.is_zero(), "subtract-assign saturates");
+    }
+
+    #[test]
+    fn duration_saturating_helpers_clamp_at_the_bounds() {
+        let d = SimDuration::from_millis(2.0);
+        assert_eq!(
+            d.saturating_sub(SimDuration::from_millis(3.0)),
+            SimDuration::ZERO
+        );
+        assert_eq!(
+            d.saturating_sub(SimDuration::from_millis(0.5)),
+            SimDuration::from_millis(1.5)
+        );
+        assert_eq!(d.saturating_mul(3), SimDuration::from_millis(6.0));
+        assert_eq!(d.saturating_mul(u64::MAX).as_nanos(), u64::MAX);
+        assert!(!d.is_zero());
+        assert!(SimDuration::default().is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the simulated clock")]
+    fn out_of_range_time_panics() {
+        let _ = SimTime::from_secs(1e12);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn non_finite_duration_panics() {
+        let _ = SimDuration::from_secs(f64::INFINITY);
+    }
+
+    #[test]
     fn display_formats_millis() {
         assert_eq!(SimTime::from_millis(1.25).to_string(), "1.250ms");
         assert_eq!(SimDuration::from_micros(500.0).to_string(), "0.500ms");

@@ -244,3 +244,160 @@ fn checked_in_example_scenario_parses_and_runs() {
     assert_eq!(outcome.expansions.len(), 2);
     assert!(outcome.report.requests > 0);
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden report digests: every shipped drill, run untraced at full size,
+/// must serialize to exactly the same JSON bytes as when these constants
+/// were pinned. A refactor that claims "reports are byte-identical" is
+/// checked here instead of by diffing `scenario_file --json` by hand. If a
+/// change is *meant* to alter simulated results, re-pin the constants and
+/// say why in the change description.
+#[test]
+fn shipped_drill_reports_match_golden_digests() {
+    let drills = [
+        (
+            "failure_drill",
+            include_str!("../examples/scenarios/failure_drill.toml"),
+            0x3ead_5b57_228f_f875,
+        ),
+        (
+            "online_upgrade_drill",
+            include_str!("../examples/scenarios/online_upgrade_drill.toml"),
+            0x8d81_28a3_e8bc_a52e,
+        ),
+        (
+            "qos_drill",
+            include_str!("../examples/scenarios/qos_drill.toml"),
+            0x5935_39c8_8a18_8484,
+        ),
+        (
+            "upgrade_drill",
+            include_str!("../examples/scenarios/upgrade_drill.toml"),
+            0x3029_849a_536f_8ce5,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, text, pinned) in drills {
+        let mut scenario = Scenario::from_toml(text).expect("the shipped drill parses");
+        // Observers only print; clearing them keeps the test quiet and
+        // leaves the report untouched.
+        scenario.observers.clear();
+        let report = scenario.run().expect("the shipped drill runs").report;
+        let digest = fnv1a64(report.to_json().as_bytes());
+        if digest != pinned {
+            mismatches.push(format!("{name}: {digest:#018x} (pinned {pinned:#018x})"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "drill reports changed: {}",
+        mismatches.join("; ")
+    );
+}
+
+/// `run_on` with the scenario's own trace is exactly `run`: the shared-trace
+/// entry point `Campaign::run` relies on adds nothing and loses nothing.
+#[test]
+fn run_on_a_shared_trace_matches_run() {
+    let scenario = Scenario::builder()
+        .name("shared trace")
+        .strategy(StrategyKind::Craid5)
+        .workload(WorkloadId::Wdev)
+        .requests(1_000)
+        .seed(11)
+        .small_test()
+        .pc_fraction(0.2)
+        .expand_at(SimTime::from_secs(2.0), 4)
+        .build();
+    let direct = scenario.run().expect("runs");
+    let shared = scenario
+        .run_on(&scenario.trace(), &mut NullObserver)
+        .expect("runs on the shared trace");
+    assert_eq!(direct.report.to_json(), shared.report.to_json());
+    assert_eq!(direct.expansions.len(), shared.expansions.len());
+    assert_eq!(direct.applied_events.len(), shared.applied_events.len());
+}
+
+/// A campaign generates each distinct workload once and replays it for
+/// every cell; each cell's report must match the same scenario run alone.
+#[test]
+fn campaign_cells_match_standalone_runs() {
+    let base = Scenario::builder()
+        .name("cells")
+        .workload(WorkloadId::Webusers)
+        .requests(700)
+        .seed(5)
+        .small_test()
+        .build();
+    let campaign = Campaign::sweep(
+        &base,
+        &[WorkloadId::Webusers],
+        &[0.1],
+        &[StrategyKind::Raid5, StrategyKind::Craid5],
+    );
+    let outcomes = campaign.run().expect("campaign runs");
+    assert_eq!(outcomes.len(), campaign.len());
+    for (scenario, outcome) in campaign.scenarios().iter().zip(&outcomes) {
+        let alone = scenario.run().expect("runs alone");
+        assert_eq!(
+            alone.report.to_json(),
+            outcome.report.to_json(),
+            "{}",
+            scenario.name
+        );
+    }
+}
+
+/// Counts every hook the engine fires on an extra observer.
+#[derive(Default)]
+struct HookCounts {
+    started: bool,
+    requests: u64,
+    events: u64,
+    finished_requests: Option<u64>,
+}
+
+impl craid::Observer for HookCounts {
+    fn on_start(&mut self, _config: &craid::ArrayConfig, _trace: &craid_trace::Trace) {
+        self.started = true;
+    }
+    fn on_request(&mut self, _record: &craid_trace::TraceRecord, _outcome: &craid::RequestOutcome) {
+        self.requests += 1;
+    }
+    fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&craid::ExpansionReport>) {
+        self.events += 1;
+    }
+    fn on_finish(&mut self, report: &craid::SimulationReport) {
+        self.finished_requests = Some(report.requests);
+    }
+}
+
+/// An extra observer passed to `run_observed` sees the start, every
+/// replayed request, every applied event and the final report.
+#[test]
+fn extra_observer_sees_every_request_event_and_the_report() {
+    let scenario = Scenario::builder()
+        .name("hooks")
+        .strategy(StrategyKind::Craid5)
+        .workload(WorkloadId::Wdev)
+        .requests(900)
+        .seed(2)
+        .small_test()
+        .pc_fraction(0.2)
+        .expand_at(SimTime::from_secs(1.0), 4)
+        .expand_at(SimTime::from_secs(2.0), 4)
+        .build();
+    let mut hooks = HookCounts::default();
+    let outcome = scenario.run_observed(&mut hooks).expect("runs");
+    assert!(hooks.started);
+    assert_eq!(hooks.requests, outcome.report.requests);
+    assert_eq!(hooks.events, outcome.applied_events.len() as u64);
+    assert_eq!(hooks.events, 2);
+    assert_eq!(hooks.finished_requests, Some(outcome.report.requests));
+}

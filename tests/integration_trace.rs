@@ -66,7 +66,7 @@ fn chrome_category_counts(root: &Value) -> std::collections::BTreeMap<String, u6
 fn qos_drill_chrome_trace_reconciles_with_the_report() {
     let scenario = drill(DRILLS[2].1, 4_000);
     let (outcome, trace) = scenario
-        .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+        .run_traced(craid_obs::DEFAULT_CAPACITY)
         .expect("qos drill runs traced");
     let obs = outcome.report.obs.as_ref().expect("traced run embeds obs");
     assert_eq!(obs.dropped, 0, "the default ring holds the whole drill");
@@ -124,10 +124,10 @@ fn every_shipped_drill_traces_byte_identically_twice() {
     for (name, text) in DRILLS {
         let scenario = drill(text, 1_200);
         let (first, first_trace) = scenario
-            .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
             .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
         let (second, second_trace) = scenario
-            .run_traced(craid_obs::DEFAULT_CAPACITY, 1)
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
             .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
         assert_eq!(
             first_trace.to_chrome_json(),
@@ -171,7 +171,7 @@ fn tracing_off_reports_omit_obs_and_match_traced_results() {
             "{name}: untraced reports must be byte-identical across runs"
         );
 
-        let (traced, _) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY, 1).unwrap();
+        let (traced, _) = scenario.run_traced(craid_obs::DEFAULT_CAPACITY).unwrap();
         let mut stripped = traced.report.clone();
         stripped.obs = None;
         assert_eq!(
@@ -180,4 +180,74 @@ fn tracing_off_reports_omit_obs_and_match_traced_results() {
             "{name}: tracing must not change a single reported byte"
         );
     }
+}
+
+/// Records the deferred-activation observer hook.
+#[derive(Default)]
+struct Activations(Vec<(craid_simkit::SimTime, usize)>);
+
+impl craid::Observer for Activations {
+    fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
+        self.0.push((at, added_disks));
+    }
+}
+
+/// Every deferred activation is reported three ways — a trace instant on
+/// the activation lane, the `activations` counter and the observer hook —
+/// and the three agree, instant for instant.
+#[test]
+fn deferred_activations_reach_trace_counter_and_observer_alike() {
+    let scenario = Scenario::builder()
+        .name("trace/deferred")
+        .strategy(craid::StrategyKind::Craid5)
+        .workload(craid_trace::WorkloadId::Wdev)
+        .requests(600)
+        .seed(3)
+        .small_test()
+        .pc_fraction(0.2)
+        .migration_rate(400.0)
+        .expand_at(craid_simkit::SimTime::from_secs(2.0), 4)
+        .expand_at(craid_simkit::SimTime::from_secs(3.0), 4)
+        .build();
+    let mut hook = Activations::default();
+    let (outcome, mut trace) = craid_obs::with_tracer(craid_obs::Tracer::new(), || {
+        scenario.run_observed(&mut hook)
+    });
+    outcome.expect("the deferred-expansion scenario runs");
+    assert_eq!(hook.0.len(), 1, "exactly one deferred activation fired");
+
+    let instants: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.category == craid_obs::SpanCategory::Activation)
+        .map(|e| e.at)
+        .collect();
+    let hooked: Vec<_> = hook.0.iter().map(|&(at, _)| at).collect();
+    assert_eq!(instants, hooked);
+    assert_eq!(trace.emitted(craid_obs::SpanCategory::Activation), 1);
+    let snapshot = trace.snapshot();
+    assert_eq!(snapshot.metrics.counters.get("activations"), Some(&1));
+}
+
+/// A ring far smaller than the run keeps only the newest events but its
+/// ledger still accounts for every emission, and the report is unchanged.
+#[test]
+fn a_tiny_trace_ring_drops_events_but_keeps_the_ledger() {
+    let (_, text) = DRILLS
+        .iter()
+        .find(|(name, _)| *name == "qos_drill")
+        .expect("the QoS drill ships");
+    let scenario = drill(text, 800);
+    let (traced, trace) = scenario.run_traced(8).expect("traced run");
+    let obs = traced.report.obs.clone().expect("traced reports carry obs");
+    assert_eq!(trace.events.len(), 8);
+    assert_eq!(obs.recorded, 8);
+    assert!(obs.dropped > 0, "the ring must overflow");
+    assert_eq!(obs.events, obs.recorded + obs.dropped);
+    assert_eq!(obs.spans.values().sum::<u64>(), obs.events);
+
+    let mut stripped = traced.report;
+    stripped.obs = None;
+    let untraced = scenario.run().expect("untraced run");
+    assert_eq!(untraced.report.to_json(), stripped.to_json());
 }
