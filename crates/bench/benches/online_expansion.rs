@@ -31,14 +31,14 @@
 //! modeled as free), while the aggregated `+` variants keep that cost at
 //! zero — which is exactly the paper's argument for aggregation.
 
-use craid::observer::RequestOutcome;
 use craid::qos::SloSpec;
+use craid::SimEvent;
 use craid::{
     BackgroundPriority, Campaign, CraidError, Observer, Scenario, ScheduledEvent, StrategyKind,
 };
 use craid_bench::{base_scenario, f2, header_row, print_header, row};
 use craid_simkit::SimTime;
-use craid_trace::{TraceRecord, WorkloadId};
+use craid_trace::WorkloadId;
 
 const ADDED_DISKS: usize = 10;
 const MIGRATION_RATE: f64 = 400.0;
@@ -59,7 +59,10 @@ struct Recovery {
 }
 
 impl Observer for Recovery {
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let SimEvent::Request { record, outcome } = *event else {
+            return;
+        };
         let t = record.time.as_secs();
         if t >= self.from && t < self.until {
             self.blocks += record.length;

@@ -412,7 +412,12 @@ mod tests {
             pending,
         };
         // Balanced: clean, whatever the split.
-        for balanced in [line(10, 0, 0), line(0, 10, 0), line(0, 0, 10), line(4, 3, 3)] {
+        for balanced in [
+            line(10, 0, 0),
+            line(0, 10, 0),
+            line(0, 0, 10),
+            line(4, 3, 3),
+        ] {
             let mut e = RunEvidence::default();
             e.conservation.push(balanced);
             assert!(BlockConservation.check(&e).is_none(), "{balanced:?}");

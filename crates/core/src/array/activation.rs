@@ -69,10 +69,11 @@ impl ActivationQueue {
     }
 
     /// Records an activation the caller just committed, for the driver to
-    /// drain and forward to
-    /// [`Observer::on_deferred_activation`](crate::observer::Observer::on_deferred_activation).
+    /// drain and publish as a
+    /// [`SimEvent::Activation`](crate::observer::SimEvent::Activation).
     pub(super) fn record(&mut self, at: SimTime, added_disks: usize) {
-        self.activations.push(ActivatedExpansion { at, added_disks });
+        self.activations
+            .push(ActivatedExpansion { at, added_disks });
     }
 
     /// Drains the activation records accumulated since the last call.

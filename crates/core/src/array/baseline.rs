@@ -541,9 +541,10 @@ impl StorageArray for BaselineArray {
         // progress until a `disk-repair` event arrives, and the
         // end-of-trace drain must not spin on it.
         self.background.is_idle()
-            && self
-                .activation
-                .idle_under(self.config.activation, self.devices.degraded_disk().is_some())
+            && self.activation.idle_under(
+                self.config.activation,
+                self.devices.degraded_disk().is_some(),
+            )
     }
 
     fn set_background_throttle(&mut self, now: SimTime, scale: f64) {

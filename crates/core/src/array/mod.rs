@@ -69,8 +69,8 @@ pub struct ExpansionReport {
 /// One deferred expansion that activated during a background pump: the
 /// queued upgrade's layout committed and its own paced migration started.
 /// Drained by the simulation driver via [`StorageArray::take_activations`]
-/// and surfaced through
-/// [`Observer::on_deferred_activation`](crate::observer::Observer::on_deferred_activation).
+/// and published as a
+/// [`SimEvent::Activation`](crate::observer::SimEvent::Activation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivatedExpansion {
     /// The simulated instant the activation fired.
@@ -160,8 +160,8 @@ pub trait StorageArray {
     fn set_background_throttle(&mut self, _now: SimTime, _scale: f64) {}
 
     /// Drains the deferred expansions that activated since the last call
-    /// (in activation order). The simulation driver forwards them to
-    /// [`Observer::on_deferred_activation`](crate::observer::Observer::on_deferred_activation).
+    /// (in activation order). The simulation driver publishes each as a
+    /// [`SimEvent::Activation`](crate::observer::SimEvent::Activation).
     fn take_activations(&mut self) -> Vec<ActivatedExpansion> {
         Vec::new()
     }

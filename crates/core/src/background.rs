@@ -834,7 +834,6 @@ impl BackgroundEngine {
                     .arg("disk", task.disk as u64)
                     .arg("blocks_issued", task.issued)
                 });
-                craid_obs::counter_add("background.completions", 1);
                 self.completed.push(CompletedTask {
                     id: task.id,
                     kind: task.kind,

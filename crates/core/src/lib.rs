@@ -131,6 +131,7 @@ pub use mapping::MappingCache;
 pub use monitor::IoMonitor;
 pub use observer::{
     MetricsCollector, MultiObserver, NullObserver, Observer, ProgressObserver, RequestOutcome,
+    SimEvent,
 };
 pub use partition::CachePartition;
 pub use qos::{QosController, SloSpec};

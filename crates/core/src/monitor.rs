@@ -234,7 +234,6 @@ impl IoMonitor {
                         .arg("block", pa_block)
                         .arg("write", kind.is_write())
                 });
-                craid_obs::counter_add("cache.admissions", 1);
                 (BlockDecision::Admitted { slot }, Vec::new())
             }
             AccessOutcome::InsertedWithEviction(evicted) => {
@@ -263,8 +262,6 @@ impl IoMonitor {
                         .arg("block", evicted.block)
                         .arg("dirty", dirty)
                 });
-                craid_obs::counter_add("cache.admissions", 1);
-                craid_obs::counter_add("cache.evictions", 1);
                 (
                     BlockDecision::Admitted { slot },
                     vec![EvictionTask {

@@ -1,11 +1,13 @@
 //! Pluggable observation of a running simulation.
 //!
 //! The replay engine in [`crate::sim`] drives a trace and an event schedule
-//! against an array; everything that *watches* the replay — the metrics
-//! trackers that build the [`SimulationReport`], progress printers, future
-//! streaming sinks — is an [`Observer`]. Observers receive a hook per client
-//! request and per applied [`ScheduledEvent`], plus start/finish hooks, so
-//! new consumers can be added without touching the engine's run loop.
+//! against an array and publishes each fact it produces exactly once, as a
+//! typed [`SimEvent`]: maintenance I/O, a served client request, an applied
+//! [`ScheduledEvent`], a throttle retarget, a deferred activation. One
+//! publish site feeds every consumer — the installed tracer (through
+//! [`SimEvent::trace_event`]), the [`MetricsCollector`] that builds the
+//! [`SimulationReport`], and the caller's [`Observer`] — so new consumers
+//! can be added without touching the engine's run loop.
 //!
 //! The paper's measurement pipeline itself is implemented as an observer:
 //! [`MetricsCollector`] owns the response-time summaries, quantile sketches,
@@ -16,6 +18,8 @@ use craid_diskmodel::IoKind;
 use craid_metrics::{
     ConcurrencyTracker, LoadBalanceTracker, Quantiles, SequentialityTracker, StreamingSummary,
 };
+use craid_obs::{SpanCategory, TraceEvent};
+use craid_simkit::{SimDuration, SimTime};
 use craid_trace::{Trace, TraceRecord};
 
 use crate::devices::DeviceIoEvent;
@@ -32,7 +36,9 @@ pub struct RequestOutcome {
     /// milliseconds — the per-request response time the paper reports.
     pub worst_ms: f64,
     /// Per-mapped-sub-range completion reports (device events, cache hits,
-    /// admissions, evictions).
+    /// admissions, evictions) of the client I/O only; the background
+    /// maintenance issued ahead of the request arrives separately as a
+    /// [`SimEvent::Maintenance`].
     pub reports: Vec<RequestReport>,
 }
 
@@ -43,6 +49,81 @@ impl RequestOutcome {
     }
 }
 
+/// One fact the replay engine publishes, in the order it happens.
+#[derive(Debug, Clone, Copy)]
+pub enum SimEvent<'a> {
+    /// Background maintenance I/O (rebuild, migration, restripe batches)
+    /// issued ahead of the next client request, published just before its
+    /// [`SimEvent::Request`] when non-empty. The drain publishes none.
+    Maintenance(&'a [DeviceIoEvent]),
+    /// One client request completed.
+    Request {
+        /// The replayed trace record.
+        record: &'a TraceRecord,
+        /// What serving it cost.
+        outcome: &'a RequestOutcome,
+    },
+    /// A scheduled event was applied.
+    Scheduled {
+        /// The event.
+        event: &'a ScheduledEvent,
+        /// The upgrade report when the event was an expansion.
+        expansion: Option<&'a ExpansionReport>,
+    },
+    /// The QoS controller retargeted the maintenance throttle (every
+    /// retarget; never on a run without a `[qos]` spec).
+    Throttle {
+        /// The decision instant.
+        at: SimTime,
+        /// The new maintenance throttle in `[floor, 1.0]`.
+        scale: f64,
+        /// See [`Retarget::notable`](crate::qos::Retarget::notable).
+        notable: bool,
+    },
+    /// A deferred expansion activated: its layout committed and its own
+    /// paced migration started.
+    Activation {
+        /// The activation instant (the pump that drained the blocking
+        /// restripe or, under wait-for-repair, completed the rebuild).
+        at: SimTime,
+        /// Disks the activated expansion added.
+        added_disks: usize,
+    },
+}
+
+impl SimEvent<'_> {
+    /// The trace event this fact records on a traced run: the request
+    /// span, the throttle instant or the activation instant. Maintenance
+    /// I/O and scheduled events have no lane of their own.
+    pub fn trace_event(&self) -> Option<TraceEvent> {
+        match *self {
+            SimEvent::Request { record, outcome } => Some(
+                TraceEvent::span(
+                    SpanCategory::Request,
+                    match record.kind {
+                        IoKind::Read => "read",
+                        IoKind::Write => "write",
+                    },
+                    record.time,
+                    SimDuration::from_millis(outcome.worst_ms),
+                )
+                .arg("blocks", record.length)
+                .arg("cache_hit_blocks", outcome.cache_hit_blocks()),
+            ),
+            SimEvent::Throttle { at, scale, notable } => Some(
+                TraceEvent::instant(SpanCategory::Throttle, "retarget", at)
+                    .arg("scale", scale)
+                    .arg("notable", notable),
+            ),
+            SimEvent::Activation { at, added_disks } => Some(
+                TraceEvent::instant(SpanCategory::Activation, "deferred-activation", at)
+                    .arg("added_disks", added_disks),
+            ),
+            SimEvent::Maintenance(_) | SimEvent::Scheduled { .. } => None,
+        }
+    }
+}
+
 /// Hooks into the replay engine. All methods have empty defaults; implement
 /// only what you need.
 pub trait Observer {
@@ -50,36 +131,25 @@ pub trait Observer {
     /// configuration and the trace about to be replayed.
     fn on_start(&mut self, _config: &ArrayConfig, _trace: &Trace) {}
 
-    /// Called after each client request completes.
-    fn on_request(&mut self, _record: &TraceRecord, _outcome: &RequestOutcome) {}
-
-    /// Called after each scheduled event is applied. `expansion` carries the
-    /// upgrade report when the event was an [`ScheduledEvent::Expand`].
-    fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&ExpansionReport>) {}
-
-    /// Called when the QoS controller makes a *notable* throttle change —
-    /// a multiplicative backoff, or the throttle reaching its maintenance
-    /// floor or regaining the ceiling. `scale` is the new maintenance
-    /// throttle in `[floor, 1.0]`. Never called on a run without a `[qos]`
-    /// spec.
-    fn on_throttle(&mut self, _now: craid_simkit::SimTime, _scale: f64) {}
-
-    /// Called when a deferred expansion — one that was queued behind an
-    /// in-flight archive restripe — activates: its layout commits and its
-    /// own paced migration starts. `at` is the activation instant (the
-    /// pump that drained the blocking restripe, or — under the
-    /// wait-for-repair policy — the one that completed the rebuild).
-    fn on_deferred_activation(&mut self, _at: craid_simkit::SimTime, _added_disks: usize) {}
-
-    /// Called for each request-lifecycle trace span the replay loop emits
-    /// during a *traced* run (a tracer installed via
-    /// [`craid_obs::with_tracer`] — see `Scenario::run_traced`). Never
-    /// called on an untraced run, so implementations cannot perturb the
-    /// tracing-off path.
-    fn on_span(&mut self, _event: &craid_obs::TraceEvent) {}
+    /// Called for every fact the engine publishes, in order.
+    fn on_event(&mut self, _event: &SimEvent<'_>) {}
 
     /// Called once with the finished report.
     fn on_finish(&mut self, _report: &SimulationReport) {}
+}
+
+impl<O: Observer + ?Sized> Observer for &mut O {
+    fn on_start(&mut self, config: &ArrayConfig, trace: &Trace) {
+        (**self).on_start(config, trace);
+    }
+
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        (**self).on_event(event);
+    }
+
+    fn on_finish(&mut self, report: &SimulationReport) {
+        (**self).on_finish(report);
+    }
 }
 
 /// An observer that ignores everything.
@@ -88,20 +158,21 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// Fans hooks out to several owned observers, in order.
+/// Fans hooks out to several observers, in order. Borrowed observers join
+/// through the `&mut O` impl: `multi.push(Box::new(&mut mine))`.
 #[derive(Default)]
-pub struct MultiObserver {
-    observers: Vec<Box<dyn Observer>>,
+pub struct MultiObserver<'a> {
+    observers: Vec<Box<dyn Observer + 'a>>,
 }
 
-impl MultiObserver {
+impl<'a> MultiObserver<'a> {
     /// Creates an empty fan-out.
     pub fn new() -> Self {
         MultiObserver::default()
     }
 
     /// Adds an observer to the fan-out.
-    pub fn push(&mut self, observer: Box<dyn Observer>) {
+    pub fn push(&mut self, observer: Box<dyn Observer + 'a>) {
         self.observers.push(observer);
     }
 
@@ -116,40 +187,16 @@ impl MultiObserver {
     }
 }
 
-impl Observer for MultiObserver {
+impl Observer for MultiObserver<'_> {
     fn on_start(&mut self, config: &ArrayConfig, trace: &Trace) {
         for o in &mut self.observers {
             o.on_start(config, trace);
         }
     }
 
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
         for o in &mut self.observers {
-            o.on_request(record, outcome);
-        }
-    }
-
-    fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        for o in &mut self.observers {
-            o.on_event(event, expansion);
-        }
-    }
-
-    fn on_throttle(&mut self, now: craid_simkit::SimTime, scale: f64) {
-        for o in &mut self.observers {
-            o.on_throttle(now, scale);
-        }
-    }
-
-    fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
-        for o in &mut self.observers {
-            o.on_deferred_activation(at, added_disks);
-        }
-    }
-
-    fn on_span(&mut self, event: &craid_obs::TraceEvent) {
-        for o in &mut self.observers {
-            o.on_span(event);
+            o.on_event(event);
         }
     }
 
@@ -161,8 +208,8 @@ impl Observer for MultiObserver {
 }
 
 /// Prints one progress line to stderr every `every` requests, plus a line
-/// per applied event. The built-in observer behind
-/// [`crate::scenario::ObserverSpec::Progress`].
+/// per applied event, notable throttle change and deferred activation. The
+/// built-in observer behind [`crate::scenario::ObserverSpec::Progress`].
 #[derive(Debug, Clone)]
 pub struct ProgressObserver {
     every: u64,
@@ -182,53 +229,51 @@ impl ProgressObserver {
 }
 
 impl Observer for ProgressObserver {
-    fn on_request(&mut self, record: &TraceRecord, _outcome: &RequestOutcome) {
-        self.seen += 1;
-        if self.every > 0 && self.seen.is_multiple_of(self.every) {
-            eprintln!(
-                "[{}] {} requests replayed (t = {:.1}s)",
-                self.label,
-                self.seen,
-                record.time.as_secs()
-            );
-        }
-    }
-
-    fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        match expansion {
-            Some(report) => eprintln!(
-                "[{}] t = {:.1}s: {} (migrated {} blocks, wrote back {})",
-                self.label,
-                event.at().as_secs(),
-                event.describe(),
-                report.migrated_blocks,
-                report.writeback_blocks
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let (at, what) = match *event {
+            SimEvent::Request { record, .. } => {
+                self.seen += 1;
+                if self.every > 0 && self.seen.is_multiple_of(self.every) {
+                    let t = record.time.as_secs();
+                    eprintln!(
+                        "[{}] {} requests replayed (t = {t:.1}s)",
+                        self.label, self.seen
+                    );
+                }
+                return;
+            }
+            SimEvent::Scheduled { event, expansion } => (
+                event.at(),
+                match expansion {
+                    Some(r) => format!(
+                        "{} (migrated {} blocks, wrote back {})",
+                        event.describe(),
+                        r.migrated_blocks,
+                        r.writeback_blocks
+                    ),
+                    None => event.describe(),
+                },
             ),
-            None => eprintln!(
-                "[{}] t = {:.1}s: {}",
-                self.label,
-                event.at().as_secs(),
-                event.describe()
+            // The smooth additive recovery would spam the log; only
+            // backoffs and floor/ceiling transitions are printed.
+            SimEvent::Throttle {
+                at,
+                scale,
+                notable: true,
+            } => (
+                at,
+                format!(
+                    "maintenance throttled to {:.0}% of configured rate",
+                    scale * 100.0
+                ),
             ),
-        }
-    }
-
-    fn on_throttle(&mut self, now: craid_simkit::SimTime, scale: f64) {
-        eprintln!(
-            "[{}] t = {:.1}s: maintenance throttled to {:.0}% of configured rate",
-            self.label,
-            now.as_secs(),
-            scale * 100.0
-        );
-    }
-
-    fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
-        eprintln!(
-            "[{}] t = {:.1}s: deferred expansion activated (+{} disks)",
-            self.label,
-            at.as_secs(),
-            added_disks
-        );
+            SimEvent::Activation { at, added_disks } => (
+                at,
+                format!("deferred expansion activated (+{added_disks} disks)"),
+            ),
+            SimEvent::Throttle { notable: false, .. } | SimEvent::Maintenance(_) => return,
+        };
+        eprintln!("[{}] t = {:.1}s: {what}", self.label, at.as_secs());
     }
 }
 
@@ -328,31 +373,35 @@ impl MetricsCollector {
 }
 
 impl Observer for MetricsCollector {
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
-        self.requests += 1;
-        for report in &outcome.reports {
-            for ev in &report.events {
-                self.record_device_event(ev);
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let traffic = match *event {
+            SimEvent::Request { record, outcome } => {
+                self.requests += 1;
+                for ev in outcome.reports.iter().flat_map(|r| &r.events) {
+                    self.record_device_event(ev);
+                }
+                let (summary, quantiles) = match record.kind {
+                    IoKind::Read => (&mut self.read_summary, &mut self.read_quantiles),
+                    IoKind::Write => (&mut self.write_summary, &mut self.write_quantiles),
+                };
+                summary.record(outcome.worst_ms);
+                quantiles.record(outcome.worst_ms);
+                return;
             }
-        }
-        match record.kind {
-            IoKind::Read => {
-                self.read_summary.record(outcome.worst_ms);
-                self.read_quantiles.record(outcome.worst_ms);
+            SimEvent::Maintenance(events) => events,
+            SimEvent::Scheduled {
+                expansion: Some(report),
+                ..
+            } => &report.events[..],
+            SimEvent::Scheduled {
+                expansion: None, ..
             }
-            IoKind::Write => {
-                self.write_summary.record(outcome.worst_ms);
-                self.write_quantiles.record(outcome.worst_ms);
-            }
-        }
-    }
-
-    fn on_event(&mut self, _event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        if self.closed {
-            return;
-        }
-        if let Some(report) = expansion {
-            for ev in &report.events {
+            | SimEvent::Throttle { .. }
+            | SimEvent::Activation { .. } => return,
+        };
+        // Non-client traffic counts only inside the measurement window.
+        if !self.closed {
+            for ev in traffic {
                 self.record_device_event(ev);
             }
         }
@@ -374,76 +423,117 @@ fn summarize_response(summary: &StreamingSummary, quantiles: &mut Quantiles) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use craid_simkit::SimTime;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
+    /// Records every hook call, in order.
     #[derive(Default)]
-    struct Counting {
-        requests: u64,
-        events: u64,
-        throttles: u64,
-        activations: u64,
-        spans: u64,
-        finished: bool,
-    }
+    struct Calls(Vec<&'static str>);
 
-    struct Shared(Rc<RefCell<Counting>>);
-
-    impl Observer for Shared {
-        fn on_request(&mut self, _r: &TraceRecord, _o: &RequestOutcome) {
-            self.0.borrow_mut().requests += 1;
+    impl Observer for Calls {
+        fn on_start(&mut self, _config: &ArrayConfig, _trace: &Trace) {
+            self.0.push("start");
         }
-        fn on_event(&mut self, _e: &ScheduledEvent, _x: Option<&ExpansionReport>) {
-            self.0.borrow_mut().events += 1;
-        }
-        fn on_throttle(&mut self, _now: craid_simkit::SimTime, _scale: f64) {
-            self.0.borrow_mut().throttles += 1;
-        }
-        fn on_deferred_activation(&mut self, _at: craid_simkit::SimTime, _added: usize) {
-            self.0.borrow_mut().activations += 1;
-        }
-        fn on_span(&mut self, _event: &craid_obs::TraceEvent) {
-            self.0.borrow_mut().spans += 1;
+        fn on_event(&mut self, event: &SimEvent<'_>) {
+            self.0.push(match event {
+                SimEvent::Maintenance(_) => "maintenance",
+                SimEvent::Request { .. } => "request",
+                SimEvent::Scheduled { .. } => "scheduled",
+                SimEvent::Throttle { .. } => "throttle",
+                SimEvent::Activation { .. } => "activation",
+            });
         }
         fn on_finish(&mut self, _r: &SimulationReport) {
-            self.0.borrow_mut().finished = true;
+            self.0.push("finish");
         }
+    }
+
+    /// Publishes one event of every variant, in declaration order, all at
+    /// t = 10 ms.
+    fn each_variant(mut publish: impl FnMut(&SimEvent<'_>)) {
+        let t = SimTime::from_millis(10.0);
+        let record = TraceRecord::new(t, IoKind::Write, 64, 16);
+        let mut outcome = outcome_with(Vec::new());
+        outcome.worst_ms = 2.5;
+        outcome.reports[0].cache_hit_blocks = 7;
+        let event = ScheduledEvent::expand(t, 2);
+        let (scale, notable, added_disks) = (0.25, false, 4);
+        publish(&SimEvent::Maintenance(&[device_io(t, 0, 0, 8)]));
+        publish(&SimEvent::Request {
+            record: &record,
+            outcome: &outcome,
+        });
+        publish(&SimEvent::Scheduled {
+            event: &event,
+            expansion: None,
+        });
+        publish(&SimEvent::Throttle {
+            at: t,
+            scale,
+            notable,
+        });
+        publish(&SimEvent::Activation { at: t, added_disks });
     }
 
     #[test]
     fn multi_observer_fans_out() {
-        let a = Rc::new(RefCell::new(Counting::default()));
-        let b = Rc::new(RefCell::new(Counting::default()));
+        let mut borrowed = Calls::default();
         let mut multi = MultiObserver::new();
-        multi.push(Box::new(Shared(a.clone())));
-        multi.push(Box::new(Shared(b.clone())));
+        multi.push(Box::new(Calls::default()));
+        multi.push(Box::new(&mut borrowed));
         assert_eq!(multi.len(), 2);
-
-        let record = TraceRecord::new(SimTime::ZERO, IoKind::Read, 0, 8);
-        let outcome = RequestOutcome {
-            worst_ms: 1.0,
-            reports: Vec::new(),
-        };
-        multi.on_request(&record, &outcome);
-        let event = ScheduledEvent::expand(SimTime::ZERO, 2);
-        multi.on_event(&event, None);
-        multi.on_throttle(SimTime::from_secs(1.0), 0.5);
-        multi.on_deferred_activation(SimTime::from_secs(2.0), 4);
-        multi.on_span(&craid_obs::TraceEvent::instant(
-            craid_obs::SpanCategory::Request,
-            "read",
-            SimTime::ZERO,
-        ));
+        let config = ArrayConfig::small_test(crate::StrategyKind::Craid5, 1_000);
+        multi.on_start(&config, &Trace::new("t", 8, Vec::new()));
+        each_variant(|event| multi.on_event(event));
         multi.on_finish(&SimulationReport::default());
+        drop(multi);
+        let variants = [
+            "maintenance",
+            "request",
+            "scheduled",
+            "throttle",
+            "activation",
+        ];
+        assert_eq!(
+            borrowed.0,
+            [&["start"], &variants[..], &["finish"]].concat()
+        );
+    }
 
-        for c in [a, b] {
-            let c = c.borrow();
-            assert_eq!((c.requests, c.events), (1, 1));
-            assert_eq!((c.throttles, c.activations), (1, 1));
-            assert_eq!(c.spans, 1);
-            assert!(c.finished);
-        }
+    /// Each variant maps to the trace event the trace files carry: the
+    /// same category, name, timing and arguments.
+    #[test]
+    fn trace_event_maps_each_variant_to_its_lane() {
+        let mut mapped = Vec::new();
+        each_variant(|event| mapped.push(event.trace_event()));
+        let t = SimTime::from_millis(10.0);
+        let span = TraceEvent::span(
+            SpanCategory::Request,
+            "write",
+            t,
+            SimDuration::from_millis(2.5),
+        );
+        let throttle = TraceEvent::instant(SpanCategory::Throttle, "retarget", t);
+        let activation = TraceEvent::instant(SpanCategory::Activation, "deferred-activation", t);
+        let expected = [
+            None,
+            Some(span.arg("blocks", 16u64).arg("cache_hit_blocks", 7u64)),
+            None,
+            Some(throttle.arg("scale", 0.25).arg("notable", false)),
+            Some(activation.arg("added_disks", 4u64)),
+        ];
+        assert_eq!(mapped, expected);
+
+        let read = TraceRecord::new(t, IoKind::Read, 64, 16);
+        let outcome = outcome_with(Vec::new());
+        let read = SimEvent::Request {
+            record: &read,
+            outcome: &outcome,
+        };
+        assert_eq!(read.trace_event().map(|e| e.name), Some("read"));
+    }
+
+    /// Feeds one client request to `m`.
+    fn request(m: &mut MetricsCollector, record: &TraceRecord, outcome: &RequestOutcome) {
+        m.on_event(&SimEvent::Request { record, outcome });
     }
 
     #[test]
@@ -454,7 +544,7 @@ mod tests {
             worst_ms: 2.5,
             reports: Vec::new(),
         };
-        m.on_request(&record, &outcome);
+        request(&mut m, &record, &outcome);
         m.close();
         let report = m.finish("RAID-5", "wdev", None, vec![0; 4]);
         assert_eq!(report.requests, 1);
@@ -505,7 +595,7 @@ mod tests {
                 worst_ms: ms,
                 reports: Vec::new(),
             };
-            m.on_request(&record, &outcome);
+            request(&mut m, &record, &outcome);
         }
         let report = m.finish("RAID-5", "wdev", None, vec![0; 2]);
         assert_eq!(report.requests, 3);
@@ -522,7 +612,8 @@ mod tests {
         // Device 0 reads 0..8 then 8..16 (sequential); devices 1 and 2 see
         // one access each, all inside second 0.
         let at = SimTime::from_millis(1.0);
-        m.on_request(
+        request(
+            &mut m,
             &record,
             &outcome_with(vec![
                 device_io(at, 0, 0, 8),
@@ -530,7 +621,7 @@ mod tests {
                 device_io(at, 2, 200, 8),
             ]),
         );
-        m.on_request(&record, &outcome_with(vec![device_io(at, 0, 8, 8)]));
+        request(&mut m, &record, &outcome_with(vec![device_io(at, 0, 8, 8)]));
         let report = m.finish("CRAID-5", "wdev", None, vec![0; 3]);
         assert_eq!(report.requests, 2);
         assert_eq!(report.sequential_fraction, 0.25, "1 of 4 accesses");
@@ -550,18 +641,41 @@ mod tests {
         };
         let event = ScheduledEvent::expand(SimTime::from_secs(1.0), 1);
 
+        let applied = SimEvent::Scheduled {
+            event: &event,
+            expansion: Some(&expansion),
+        };
         let mut open = MetricsCollector::new(2);
-        open.on_event(&event, Some(&expansion));
+        open.on_event(&applied);
         let open = open.finish("CRAID-5", "wdev", None, vec![0; 2]);
         assert_eq!(open.cdev.max, 1.0, "migration I/O counts while open");
         assert_eq!(open.requests, 0, "events are not client requests");
 
         let mut closed = MetricsCollector::new(2);
         closed.close();
-        closed.on_event(&event, Some(&expansion));
+        closed.on_event(&applied);
         let closed = closed.finish("CRAID-5", "wdev", None, vec![0; 2]);
         assert_eq!(closed.cdev.max, 0.0, "trailing events are ignored");
         assert_eq!(closed.ioq.mean, 0.0);
+    }
+
+    #[test]
+    fn metrics_collector_counts_maintenance_until_closed() {
+        let batch = [device_io(SimTime::from_secs(1.0), 1, 0, 64)];
+        let mut open = MetricsCollector::new(2);
+        open.on_event(&SimEvent::Maintenance(&batch));
+        let open = open.finish("CRAID-5", "wdev", None, vec![0; 2]);
+        assert_eq!(open.cdev.max, 1.0, "maintenance I/O counts while open");
+        assert_eq!(open.requests, 0, "maintenance is not a client request");
+
+        let mut closed = MetricsCollector::new(2);
+        closed.close();
+        closed.on_event(&SimEvent::Maintenance(&batch));
+        let closed = closed.finish("CRAID-5", "wdev", None, vec![0; 2]);
+        assert_eq!(
+            closed.cdev.max, 0.0,
+            "maintenance after the window is ignored"
+        );
     }
 
     #[test]

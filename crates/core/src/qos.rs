@@ -235,9 +235,10 @@ pub struct Retarget {
     /// The new throttle scale in `[floor, 1.0]`.
     pub scale: f64,
     /// True for *notable* changes — multiplicative backoffs and
-    /// floor/ceiling transitions — which is what the
-    /// [`Observer::on_throttle`](crate::observer::Observer::on_throttle)
-    /// hook fires for (the smooth additive recovery would spam it).
+    /// floor/ceiling transitions. Every retarget is published as a
+    /// [`SimEvent::Throttle`](crate::observer::SimEvent::Throttle) carrying
+    /// this flag; the progress printer shows only the notable ones (the
+    /// smooth additive recovery would spam it).
     pub notable: bool,
 }
 
@@ -418,7 +419,7 @@ impl QosController {
         self.stats.throttle_changes += 1;
         // Notable: every backoff, plus the moments the throttle reaches the
         // floor or regains the ceiling; the smooth additive ramp in between
-        // is sampled into the timeline but does not fire the observer hook.
+        // is only sampled into the timeline every 0.05 of scale.
         let notable = self.scale < old || self.scale >= 1.0 || self.scale <= self.spec.floor;
         if notable || (self.scale - self.last_timeline_scale).abs() >= 0.05 {
             if self.stats.throttle_timeline.len() < TIMELINE_CAP {
@@ -430,13 +431,6 @@ impl QosController {
             }
             self.last_timeline_scale = self.scale;
         }
-        craid_obs::emit(|_| {
-            craid_obs::TraceEvent::instant(craid_obs::SpanCategory::Throttle, "retarget", now)
-                .arg("scale", self.scale)
-                .arg("notable", notable)
-        });
-        craid_obs::counter_add("qos.retargets", 1);
-        craid_obs::gauge_set("qos.scale", self.scale);
         Some(Retarget {
             scale: self.scale,
             notable,

@@ -293,8 +293,8 @@ pub struct SimulationReport {
     pub background_drain_secs: f64,
     /// Total bytes moved per device over the run.
     pub device_bytes: Vec<u64>,
-    /// Observability snapshot (span/event tallies plus the unified metrics
-    /// registry), present only on traced runs. Untraced reports omit the
+    /// The tracer's emission ledger (event and per-category span tallies),
+    /// present only on traced runs. Untraced reports omit the
     /// key entirely, keeping their JSON byte-identical to pre-tracing
     /// builds.
     #[serde(skip_serializing_if = "Option::is_none")]

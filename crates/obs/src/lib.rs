@@ -16,20 +16,18 @@
 //! * exporters ([`Trace::to_chrome_json`], [`Trace::to_jsonl`]) — the
 //!   Chrome trace-event format (loadable in Perfetto / `chrome://tracing`)
 //!   and a compact JSONL stream.
-//! * [`MetricsRegistry`] — named counters / gauges / histograms (the
-//!   histograms reuse [`craid_metrics::Quantiles`]) that snapshot
-//!   deterministically (sorted by name) into an [`ObsSnapshot`].
+//! * [`ObsSnapshot`] — the emission ledger ([`Trace::snapshot`]): events
+//!   emitted per category, retained and dropped, which a traced run
+//!   embeds in its report so the trace file can be reconciled against it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod export;
-mod registry;
 mod tracer;
 
 pub use export::TraceFormat;
-pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ObsSnapshot};
 pub use tracer::{
-    active, counter_add, emit, gauge_set, histogram_record, set_now, with_tracer, ArgValue,
-    SpanCategory, Trace, TraceEvent, Tracer, DEFAULT_CAPACITY,
+    active, emit, set_now, with_tracer, ArgValue, ObsSnapshot, SpanCategory, Trace, TraceEvent,
+    Tracer, DEFAULT_CAPACITY,
 };

@@ -2,11 +2,10 @@
 //! thread-local installation hooks subsystems emit through.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use craid_simkit::{SimDuration, SimTime};
-
-use crate::registry::MetricsRegistry;
+use serde::{Deserialize, Serialize};
 
 /// Default ring-buffer capacity (events). Big enough to hold every event a
 /// shipped drill emits; a long campaign overflowing it drops the *oldest*
@@ -25,8 +24,9 @@ pub enum SpanCategory {
     /// rebuild / expansion migration / archive restripe, spanning the
     /// task's service window.
     Background,
-    /// QoS throttle transitions (the notable retargets the controller
-    /// reports).
+    /// QoS throttle retargets: one instant per scale change the controller
+    /// decides on, flagged `notable` for backoffs and floor/ceiling
+    /// transitions.
     Throttle,
     /// Deferred expansion activations leaving the activation queue.
     Activation,
@@ -207,7 +207,6 @@ pub struct Tracer {
     /// Total events emitted per category, *including* ones the ring later
     /// dropped — these are the counts reports reconcile against.
     emitted: [u64; SpanCategory::ALL.len()],
-    registry: MetricsRegistry,
 }
 
 impl Tracer {
@@ -231,7 +230,6 @@ impl Tracer {
             capacity,
             dropped: 0,
             emitted: [0; SpanCategory::ALL.len()],
-            registry: MetricsRegistry::new(),
         }
     }
 
@@ -245,24 +243,17 @@ impl Tracer {
         self.events.push_back(event);
     }
 
-    /// The metrics registry riding along with this tracer.
-    pub fn registry(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// Consumes the tracer into its finished [`Trace`].
     pub fn finish(self) -> Trace {
         Trace {
             events: self.events.into(),
             dropped: self.dropped,
             emitted: self.emitted,
-            registry: self.registry,
         }
     }
 }
 
-/// A finished recording: the retained events plus the emission ledger and
-/// the metrics registry that accumulated alongside.
+/// A finished recording: the retained events plus the emission ledger.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// The retained events, in emission order.
@@ -270,7 +261,6 @@ pub struct Trace {
     /// Events the ring evicted (emission exceeded capacity).
     pub dropped: u64,
     emitted: [u64; SpanCategory::ALL.len()],
-    registry: MetricsRegistry,
 }
 
 impl Trace {
@@ -284,34 +274,38 @@ impl Trace {
         self.emitted.iter().sum()
     }
 
-    /// Number of distinct categories that saw at least one event.
-    pub fn categories_seen(&self) -> usize {
-        self.emitted.iter().filter(|&&n| n > 0).count()
-    }
-
-    /// The metrics registry that accumulated during the recording.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
-    /// Snapshots the whole recording (emission ledger + metrics) into the
-    /// serializable [`ObsSnapshot`](crate::ObsSnapshot) reports embed.
-    pub fn snapshot(&mut self) -> crate::ObsSnapshot {
-        let mut spans = std::collections::BTreeMap::new();
-        for category in SpanCategory::ALL {
-            let n = self.emitted(category);
-            if n > 0 {
-                spans.insert(category.name().to_string(), n);
-            }
-        }
-        crate::ObsSnapshot {
+    /// Snapshots the recording's emission ledger into the serializable
+    /// [`ObsSnapshot`] reports embed.
+    pub fn snapshot(&self) -> ObsSnapshot {
+        let spans = SpanCategory::ALL
+            .into_iter()
+            .filter(|&category| self.emitted(category) > 0)
+            .map(|category| (category.name().to_string(), self.emitted(category)))
+            .collect();
+        ObsSnapshot {
             events: self.total_emitted(),
             recorded: self.events.len() as u64,
             dropped: self.dropped,
             spans,
-            metrics: self.registry.snapshot(),
         }
     }
+}
+
+/// The tracer's emission ledger a traced run embeds into its
+/// `SimulationReport`. The CI observability job reconciles `spans` against
+/// the exported trace file's event counts and against the report's own
+/// tallies (requests, throttle changes, completed background tasks).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ObsSnapshot {
+    /// Total events emitted, including any the ring dropped.
+    pub events: u64,
+    /// Events retained in the ring at the end of the run.
+    pub recorded: u64,
+    /// Events the ring evicted.
+    pub dropped: u64,
+    /// Emitted events per span category (categories with zero events are
+    /// omitted).
+    pub spans: BTreeMap<String, u64>,
 }
 
 thread_local! {
@@ -324,8 +318,8 @@ thread_local! {
 }
 
 /// True while a tracer is installed on this thread. Emission sites use it
-/// to skip building events (and observers' span hooks) on the untraced
-/// path, which therefore costs one thread-local flag test.
+/// to skip building events on the untraced path, which therefore costs one
+/// thread-local flag test.
 pub fn active() -> bool {
     INSTALLED.get()
 }
@@ -353,45 +347,6 @@ pub fn emit(build: impl FnOnce(SimTime) -> TraceEvent) {
     });
 }
 
-/// Adds `delta` to the named counter in the installed tracer's registry.
-/// A no-op with no tracer installed.
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !INSTALLED.get() {
-        return;
-    }
-    ACTIVE.with(|slot| {
-        if let Some(tracer) = slot.borrow_mut().as_mut() {
-            tracer.registry().counter_add(name, delta);
-        }
-    });
-}
-
-/// Sets the named gauge in the installed tracer's registry. A no-op with
-/// no tracer installed.
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !INSTALLED.get() {
-        return;
-    }
-    ACTIVE.with(|slot| {
-        if let Some(tracer) = slot.borrow_mut().as_mut() {
-            tracer.registry().gauge_set(name, value);
-        }
-    });
-}
-
-/// Records one histogram sample in the installed tracer's registry. A
-/// no-op with no tracer installed.
-pub fn histogram_record(name: &'static str, sample: f64) {
-    if !INSTALLED.get() {
-        return;
-    }
-    ACTIVE.with(|slot| {
-        if let Some(tracer) = slot.borrow_mut().as_mut() {
-            tracer.registry().histogram_record(name, sample);
-        }
-    });
-}
-
 /// Clears the installed tracer even when the traced body panics, so the
 /// thread outlives a failing run without leaking a tracer into the next.
 struct InstallGuard;
@@ -414,7 +369,6 @@ impl Drop for InstallGuard {
 /// let (sum, trace) = craid_obs::with_tracer(Tracer::new(), || {
 ///     craid_obs::set_now(SimTime::from_millis(5.0));
 ///     craid_obs::emit(|now| TraceEvent::instant(SpanCategory::Throttle, "backoff", now));
-///     craid_obs::counter_add("qos.retargets", 1);
 ///     2 + 2
 /// });
 /// assert_eq!(sum, 4);
@@ -451,9 +405,6 @@ mod tests {
     fn bare_thread_emits_nothing() {
         assert!(!active());
         emit(|_| unreachable!("no tracer installed"));
-        counter_add("x", 1);
-        gauge_set("y", 1.0);
-        histogram_record("z", 1.0);
         set_now(SimTime::from_secs(1.0));
     }
 
@@ -471,14 +422,13 @@ mod tests {
         assert_eq!(trace.dropped, 2);
         assert_eq!(trace.emitted(SpanCategory::Cache), 5);
         assert_eq!(trace.total_emitted(), 5);
-        assert_eq!(trace.categories_seen(), 1);
         let first: Vec<u64> = trace.events.iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(first, vec![2, 3, 4], "the oldest events were evicted");
     }
 
     #[test]
-    fn install_cycle_collects_events_and_metrics() {
-        let (value, mut trace) = with_tracer(Tracer::new(), || {
+    fn install_cycle_collects_events_into_the_ledger() {
+        let (value, trace) = with_tracer(Tracer::new(), || {
             assert!(active());
             set_now(SimTime::from_millis(1.0));
             emit(|now| {
@@ -489,9 +439,6 @@ mod tests {
                     SimDuration::from_millis(2.0),
                 )
             });
-            counter_add("requests", 2);
-            gauge_set("throttle.scale", 0.5);
-            histogram_record("latency_ms", 2.0);
             7
         });
         assert!(!active());
@@ -503,7 +450,7 @@ mod tests {
         assert_eq!(snapshot.recorded, 1);
         assert_eq!(snapshot.dropped, 0);
         assert_eq!(snapshot.spans.get("request"), Some(&1));
-        assert_eq!(snapshot.metrics.counters.get("requests"), Some(&2));
+        assert_eq!(snapshot.spans.len(), 1, "empty categories are omitted");
     }
 
     #[test]
@@ -527,5 +474,50 @@ mod tests {
     #[should_panic(expected = "room for at least one event")]
     fn zero_capacity_is_rejected() {
         Tracer::with_capacity(0);
+    }
+
+    #[test]
+    fn skip_serializing_if_omits_the_key_entirely() {
+        // The report embeds `obs: Option<ObsSnapshot>` behind
+        // `skip_serializing_if = "Option::is_none"`; byte-identity of
+        // tracing-off reports depends on the None key vanishing (not
+        // serializing as null).
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Wrapper {
+            kept: u64,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            obs: Option<ObsSnapshot>,
+        }
+
+        let off = Wrapper { kept: 7, obs: None };
+        let json = serde_json::to_string(&off).unwrap();
+        assert!(!json.contains("obs"), "None field must be omitted: {json}");
+        let back: Wrapper = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, off);
+
+        let on = Wrapper {
+            kept: 7,
+            obs: Some(ObsSnapshot::default()),
+        };
+        let json = serde_json::to_string(&on).unwrap();
+        assert!(
+            json.contains("\"obs\""),
+            "Some field must serialize: {json}"
+        );
+        let back: Wrapper = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, on);
+    }
+
+    #[test]
+    fn obs_snapshot_round_trips_through_json() {
+        let snapshot = ObsSnapshot {
+            events: 12,
+            recorded: 10,
+            dropped: 2,
+            spans: [("request".to_string(), 9u64)].into_iter().collect(),
+        };
+        let json = serde_json::to_string_pretty(&snapshot).unwrap();
+        let back: ObsSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snapshot);
     }
 }

@@ -20,8 +20,9 @@
 //! and the captured virtual-time trace is written to `PATH` —
 //! `--trace-format=chrome` (default; Perfetto / `chrome://tracing`
 //! loadable) or `--trace-format=jsonl`. The report (plain or `--json`)
-//! then carries an `obs` snapshot reconciling span counts against the
-//! metrics registry. Tracing is record-only: the simulated results are
+//! then carries an `obs` snapshot, the tracer's per-category emission
+//! ledger, which reconciles with the trace file and with the report's own
+//! tallies. Tracing is record-only: the simulated results are
 //! bit-identical to an untraced run.
 //!
 //! With `--check` nothing runs at all: the static analyser is applied to

@@ -2,11 +2,11 @@
 //! timelines, degraded-mode service quality, rebuild traffic, and the
 //! determinism of fault-laden campaigns.
 
-use craid::observer::RequestOutcome;
+use craid::SimEvent;
 use craid::{Campaign, Observer, Scenario, ScheduledEvent, StrategyKind};
 use craid_diskmodel::IoKind;
 use craid_simkit::SimTime;
-use craid_trace::{TraceRecord, WorkloadId};
+use craid_trace::WorkloadId;
 
 /// Buckets per-request read response times into the three service windows
 /// of a fail → repair timeline.
@@ -35,7 +35,10 @@ impl WindowedReads {
 }
 
 impl Observer for WindowedReads {
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let SimEvent::Request { record, outcome } = *event else {
+            return;
+        };
         if record.kind != IoKind::Read {
             return;
         }

@@ -4,14 +4,14 @@
 //! sequential service recovery, and fail-during-upgrade determinism.
 
 use craid::analyze::oracle::{BlockConservation, ConservationLine, ExactlyOneLocation};
-use craid::observer::RequestOutcome;
+use craid::SimEvent;
 use craid::{
     ArrayConfig, BackgroundPriority, BaselineArray, CraidArray, InvariantOracle, Observer,
     RunEvidence, Scenario, ScheduledEvent, StorageArray, StrategyKind,
 };
 use craid_diskmodel::{BlockRange, IoKind};
 use craid_simkit::SimTime;
-use craid_trace::{TraceRecord, WorkloadId};
+use craid_trace::WorkloadId;
 use proptest::prelude::*;
 
 /// Drains whatever background work an array still has queued.
@@ -183,7 +183,10 @@ struct HitRecovery {
 }
 
 impl Observer for HitRecovery {
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let SimEvent::Request { record, outcome } = *event else {
+            return;
+        };
         if record.time >= self.window.0 && record.time < self.window.1 {
             self.blocks_after += record.length;
             self.hits_after += outcome.cache_hit_blocks();

@@ -1,19 +1,19 @@
 //! Integration tests for the QoS control subsystem: SLO-driven throttling
 //! measurably protects client latency at equal total maintenance work, the
 //! pacing floor and block-accounting invariants hold under throttling, the
-//! end-of-trace drain still terminates, and the deferred-expansion
-//! satellites (observer hook, wait-for-repair activation) behave.
+//! end-of-trace drain still terminates, and deferred expansions publish
+//! their activations and honour the wait-for-repair policy.
 
 use craid::analyze::oracle::{BlockConservation, ConservationLine, ExactlyOneLocation};
-use craid::observer::RequestOutcome;
 use craid::qos::SloSpec;
+use craid::SimEvent;
 use craid::{
     ActivationPolicy, ArrayConfig, CraidArray, InvariantOracle, Observer, QosStats, RunEvidence,
     Scenario, StorageArray, StrategyKind,
 };
 use craid_diskmodel::{BlockRange, IoKind};
 use craid_simkit::SimTime;
-use craid_trace::{TraceRecord, WorkloadId};
+use craid_trace::WorkloadId;
 use proptest::prelude::*;
 
 /// Accumulates SLO-violation seconds with one fixed definition applied to
@@ -38,7 +38,10 @@ impl ViolationMeter {
 }
 
 impl Observer for ViolationMeter {
-    fn on_request(&mut self, record: &TraceRecord, outcome: &RequestOutcome) {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let SimEvent::Request { record, outcome } = *event else {
+            return;
+        };
         if let Some(last) = self.last {
             if outcome.worst_ms > self.target_ms {
                 self.violated_secs += record.time.saturating_since(last).as_secs();
@@ -343,23 +346,26 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred-expansion satellites: observer hook + wait-for-repair policy.
+// Deferred expansions: activation events + wait-for-repair policy.
 // ---------------------------------------------------------------------------
 
-/// Captures the deferred-activation observer hook.
+/// Captures the published deferred activations.
 #[derive(Default)]
 struct ActivationLog {
     seen: Vec<(f64, usize)>,
 }
 
 impl Observer for ActivationLog {
-    fn on_deferred_activation(&mut self, at: SimTime, added_disks: usize) {
-        self.seen.push((at.as_secs(), added_disks));
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        if let SimEvent::Activation { at, added_disks } = *event {
+            self.seen.push((at.as_secs(), added_disks));
+        }
     }
 }
 
-/// A queued ideal-archive expansion activating on drain fires the new
-/// observer hook with the activation instant and disk count.
+/// A queued ideal-archive expansion activating on drain publishes one
+/// activation event with the activation instant and disk count, and the
+/// trace's activation lane records the same instant.
 #[test]
 fn deferred_activation_fires_the_observer_hook() {
     let scenario = Scenario::builder()
@@ -375,13 +381,22 @@ fn deferred_activation_fires_the_observer_hook() {
         .expand_at(SimTime::from_secs(3.0), 4)
         .build();
     let mut log = ActivationLog::default();
-    let outcome = scenario.run_observed(&mut log).unwrap();
+    let (outcome, trace) =
+        craid_obs::with_tracer(craid_obs::Tracer::new(), || scenario.run_observed(&mut log));
+    let outcome = outcome.unwrap();
     assert_eq!(outcome.expansions.len(), 2);
     assert!(outcome.expansions[1].deferred, "the second expand queued");
     assert_eq!(log.seen.len(), 1, "exactly one deferred activation fired");
     let (at, added) = log.seen[0];
     assert_eq!(added, 4);
     assert!(at >= 3.0, "activation happens after the deferral");
+    let lane: Vec<f64> = trace
+        .events
+        .iter()
+        .filter(|e| e.category == craid_obs::SpanCategory::Activation)
+        .map(|e| e.at.as_secs())
+        .collect();
+    assert_eq!(lane, [at]);
     let stats = &outcome.report.migration;
     assert_eq!(stats.archive_restripes_started, 2);
     assert_eq!(stats.archive_restripes_completed, 2);

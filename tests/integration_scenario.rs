@@ -367,11 +367,14 @@ impl craid::Observer for HookCounts {
     fn on_start(&mut self, _config: &craid::ArrayConfig, _trace: &craid_trace::Trace) {
         self.started = true;
     }
-    fn on_request(&mut self, _record: &craid_trace::TraceRecord, _outcome: &craid::RequestOutcome) {
-        self.requests += 1;
-    }
-    fn on_event(&mut self, _event: &ScheduledEvent, _expansion: Option<&craid::ExpansionReport>) {
-        self.events += 1;
+    fn on_event(&mut self, event: &craid::SimEvent<'_>) {
+        match event {
+            craid::SimEvent::Request { .. } => self.requests += 1,
+            craid::SimEvent::Scheduled { .. } => self.events += 1,
+            craid::SimEvent::Maintenance(_)
+            | craid::SimEvent::Throttle { .. }
+            | craid::SimEvent::Activation { .. } => {}
+        }
     }
     fn on_finish(&mut self, report: &craid::SimulationReport) {
         self.finished_requests = Some(report.requests);

@@ -1,10 +1,17 @@
-//! Integration tests for the deterministic tracing layer (`craid-obs`):
-//! the golden event-count reconciliation between a Chrome trace export and
-//! the report's `obs` snapshot, trace-twice byte-diff determinism for
-//! every shipped drill, and the pin that tracing-off reports stay
-//! byte-identical to a build without tracing.
+//! Integration tests for the deterministic tracing layer (`craid-obs`)
+//! and the engine's published event stream: the golden event-count
+//! reconciliation between a Chrome trace export, the report's `obs`
+//! ledger and the report's own tallies, trace-twice byte-diff determinism
+//! for every shipped drill, the pin that tracing-off reports stay
+//! byte-identical to a build without tracing, and the pins that each
+//! published [`SimEvent`] agrees with the trace lane and the report field
+//! describing the same fact.
 
-use craid::Scenario;
+use std::sync::OnceLock;
+
+use craid::{Observer, Scenario, SimEvent};
+use craid_obs::SpanCategory;
+use craid_raid::IoPurpose;
 use serde::Value;
 
 /// Every drill shipped under `examples/scenarios/` (the `invalid/`
@@ -57,11 +64,11 @@ fn chrome_category_counts(root: &Value) -> std::collections::BTreeMap<String, u6
     counts
 }
 
-/// Satellite: the golden event-count test. The QoS drill traced end to
-/// end produces a Chrome export that parses as JSON, carries at least
-/// four span categories, and reconciles event-for-event with the `obs`
-/// snapshot embedded in the report — which itself reconciles with the
-/// report's own request counter.
+/// The golden event-count test. The QoS drill traced end to end produces
+/// a Chrome export that parses as JSON, carries at least four span
+/// categories, and reconciles event-for-event with the `obs` ledger
+/// embedded in the report — which itself reconciles with the report's own
+/// tallies.
 #[test]
 fn qos_drill_chrome_trace_reconciles_with_the_report() {
     let scenario = drill(DRILLS[2].1, 4_000);
@@ -87,24 +94,13 @@ fn qos_drill_chrome_trace_reconciles_with_the_report() {
         "the QoS drill exercises at least four span categories, got {counts:?}"
     );
 
-    // The snapshot's counters reconcile with both the spans and the
-    // simulation report itself.
-    let counters = &obs.metrics.counters;
-    assert_eq!(counters.get("requests"), Some(&outcome.report.requests));
-    assert_eq!(counters.get("requests"), spans.get("request"));
-    assert_eq!(counters.get("qos.retargets"), spans.get("throttle"));
+    // The ledger's lanes reconcile with the simulation report itself.
+    let report = &outcome.report;
+    assert_eq!(spans.get("request"), Some(&report.requests));
+    assert_eq!(spans.get("throttle"), Some(&report.qos.throttle_changes));
     assert_eq!(
-        counters.get("background.completions"),
-        spans.get("background")
-    );
-    assert_eq!(
-        counters.get("cache.admissions").copied().unwrap_or(0)
-            + counters.get("cache.evictions").copied().unwrap_or(0),
-        spans.get("cache").copied().unwrap_or(0)
-    );
-    assert!(
-        obs.metrics.histograms.contains_key("request.worst_ms"),
-        "the request latency histogram is registered"
+        spans.get("background").copied().unwrap_or(0),
+        completed_background_tasks(report)
     );
 
     // The JSONL export covers the same events, one parseable line each.
@@ -182,51 +178,126 @@ fn tracing_off_reports_omit_obs_and_match_traced_results() {
     }
 }
 
-/// Records the deferred-activation observer hook.
-#[derive(Default)]
-struct Activations(Vec<(craid_simkit::SimTime, usize)>);
+/// Background tasks the report counts as completed: each retires with
+/// exactly one span on the background lane.
+fn completed_background_tasks(report: &craid::SimulationReport) -> u64 {
+    report.fault.rebuilds_completed
+        + report.migration.migrations_completed
+        + report.migration.archive_restripes_completed
+}
 
-impl craid::Observer for Activations {
-    fn on_deferred_activation(&mut self, at: craid_simkit::SimTime, added_disks: usize) {
-        self.0.push((at, added_disks));
+/// Tallies the published stream of one run.
+#[derive(Default)]
+struct StreamTally {
+    maintenance_blocks: u64,
+    /// Maintenance events not immediately followed by their request.
+    orphan_maintenance: u64,
+    last_was_maintenance: bool,
+    /// `(all, notable)` throttle retargets.
+    throttles: (u64, u64),
+    /// Rebuild I/Os found inside a client request's outcome.
+    rebuild_ios_in_requests: usize,
+}
+
+impl Observer for StreamTally {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        let is_request = matches!(event, SimEvent::Request { .. });
+        self.orphan_maintenance += u64::from(self.last_was_maintenance && !is_request);
+        self.last_was_maintenance = matches!(event, SimEvent::Maintenance(_));
+        match *event {
+            SimEvent::Maintenance(ios) => {
+                self.maintenance_blocks += ios.iter().map(|io| io.blocks).sum::<u64>();
+            }
+            SimEvent::Request { outcome, .. } => {
+                let ios = outcome.reports.iter().flat_map(|r| &r.events);
+                self.rebuild_ios_in_requests += ios
+                    .filter(|io| {
+                        matches!(io.purpose, IoPurpose::RebuildRead | IoPurpose::RebuildWrite)
+                    })
+                    .count();
+            }
+            SimEvent::Throttle { notable, .. } => {
+                self.throttles.0 += 1;
+                self.throttles.1 += u64::from(notable);
+            }
+            SimEvent::Scheduled { .. } | SimEvent::Activation { .. } => {}
+        }
     }
 }
 
-/// Every deferred activation is reported three ways — a trace instant on
-/// the activation lane, the `activations` counter and the observer hook —
-/// and the three agree, instant for instant.
-#[test]
-fn deferred_activations_reach_trace_counter_and_observer_alike() {
-    let scenario = Scenario::builder()
-        .name("trace/deferred")
-        .strategy(craid::StrategyKind::Craid5)
-        .workload(craid_trace::WorkloadId::Wdev)
-        .requests(600)
-        .seed(3)
-        .small_test()
-        .pc_fraction(0.2)
-        .migration_rate(400.0)
-        .expand_at(craid_simkit::SimTime::from_secs(2.0), 4)
-        .expand_at(craid_simkit::SimTime::from_secs(3.0), 4)
-        .build();
-    let mut hook = Activations::default();
-    let (outcome, mut trace) = craid_obs::with_tracer(craid_obs::Tracer::new(), || {
-        scenario.run_observed(&mut hook)
-    });
-    outcome.expect("the deferred-expansion scenario runs");
-    assert_eq!(hook.0.len(), 1, "exactly one deferred activation fired");
+type StreamRun = (craid::SimulationReport, craid_obs::Trace, StreamTally);
 
-    let instants: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.category == craid_obs::SpanCategory::Activation)
-        .map(|e| e.at)
-        .collect();
-    let hooked: Vec<_> = hook.0.iter().map(|&(at, _)| at).collect();
-    assert_eq!(instants, hooked);
-    assert_eq!(trace.emitted(craid_obs::SpanCategory::Activation), 1);
-    let snapshot = trace.snapshot();
-    assert_eq!(snapshot.metrics.counters.get("activations"), Some(&1));
+/// The full QoS drill, traced, with a [`StreamTally`] attached — run once
+/// and shared by the stream pins below.
+fn qos_drill_stream() -> &'static StreamRun {
+    static RUN: OnceLock<StreamRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let mut tally = StreamTally::default();
+        let (outcome, trace) = craid_obs::with_tracer(craid_obs::Tracer::new(), || {
+            drill(DRILLS[2].1, 4_000).run_observed(&mut tally)
+        });
+        (outcome.expect("qos drill runs").report, trace, tally)
+    })
+}
+
+/// Σ blocks over every published `Maintenance` event equals the
+/// maintenance the QoS controller accounted.
+#[test]
+fn published_maintenance_blocks_equal_the_qos_maintenance_tally() {
+    let (report, _, tally) = qos_drill_stream();
+    assert!(
+        report.qos.maintenance_blocks > 0,
+        "the drill runs maintenance"
+    );
+    assert_eq!(tally.maintenance_blocks, report.qos.maintenance_blocks);
+}
+
+/// Each `Maintenance` event is followed directly by the request it was
+/// issued ahead of.
+#[test]
+fn published_maintenance_directly_precedes_its_request() {
+    let (_, _, tally) = qos_drill_stream();
+    assert!(tally.maintenance_blocks > 0);
+    assert_eq!(tally.orphan_maintenance, 0);
+}
+
+/// Every retarget is published once, notable or not: the observer's
+/// `Throttle` count equals the report's `throttle_changes` and the trace's
+/// throttle lane.
+#[test]
+fn published_throttles_equal_the_report_and_the_trace_lane() {
+    let (report, trace, tally) = qos_drill_stream();
+    let (all, notable) = tally.throttles;
+    assert!(0 < notable && notable < all, "{notable} of {all} notable");
+    assert_eq!(all, report.qos.throttle_changes);
+    assert_eq!(all, trace.emitted(SpanCategory::Throttle));
+}
+
+/// A request's outcome carries its client I/O only: the drill rebuilds a
+/// failed disk, yet no rebuild read or write rides in any outcome.
+#[test]
+fn request_outcomes_carry_no_rebuild_io() {
+    let (report, _, tally) = qos_drill_stream();
+    assert!(report.fault.rebuilds_completed > 0, "the drill rebuilds");
+    assert_eq!(tally.rebuild_ios_in_requests, 0);
+}
+
+/// On every shipped drill, at its full size, the background lane holds one
+/// span per completed rebuild, expansion migration and archive restripe.
+#[test]
+fn background_lane_equals_completed_tasks_on_every_drill() {
+    for (name, text) in DRILLS {
+        let mut scenario = Scenario::from_toml(text).expect("shipped drill parses");
+        scenario.observers.clear();
+        let (outcome, trace) = scenario
+            .run_traced(craid_obs::DEFAULT_CAPACITY)
+            .unwrap_or_else(|e| panic!("{name} runs traced: {e}"));
+        assert_eq!(
+            trace.emitted(SpanCategory::Background),
+            completed_background_tasks(&outcome.report),
+            "{name}: background lane vs completed tasks"
+        );
+    }
 }
 
 /// A ring far smaller than the run keeps only the newest events but its
